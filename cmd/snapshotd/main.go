@@ -58,7 +58,7 @@
 // host. Scheduler state (change-rate estimates and due times) persists
 // in sched-state.json under -data, and the main listener gains
 // /debug/sched. Without -sched, -sweep-jitter desynchronises the batch
-// sweep's host groups by a deterministic per-host phase offset.
+// sweep's (shard, host) lanes by a deterministic per-lane phase offset.
 //
 // The main listener always exposes /debug/metrics (JSON registry
 // snapshot), /metrics (the same registry as Prometheus text, including
@@ -73,8 +73,8 @@
 // Failure isolation: -breaker-threshold/-breaker-cooldown configure the
 // per-host circuit breakers on outgoing checks; -max-inflight bounds
 // incoming requests, shedding the excess with 503 + Retry-After;
-// -sweep-workers polls that many hosts in parallel per sweep (URLs on
-// one host stay serial).
+// -sweep-workers polls that many hosts in parallel per shard in each
+// sweep (URLs on one host stay serial within a shard).
 //
 // -timeout bounds each outgoing fetch (per retry attempt); -req-timeout
 // bounds the total work one incoming HTTP request may trigger. An
@@ -133,7 +133,7 @@ func main() {
 	enableAuth := flag.Bool("auth", false, "require account authentication (anonymous accounts via /account/new)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-fetch timeout (each retry attempt; 0 = none)")
 	reqTimeout := flag.Duration("req-timeout", 2*time.Minute, "deadline for the work behind one incoming HTTP request (0 = none)")
-	sweepWorkers := flag.Int("sweep-workers", 4, "hosts polled in parallel per sweep (<=1 = serial)")
+	sweepWorkers := flag.Int("sweep-workers", 4, "hosts polled in parallel per shard in each sweep (<=1 = serial)")
 	sweepJitter := flag.Duration("sweep-jitter", 0, "max deterministic per-host phase offset at the start of each concurrent sweep (0 disables)")
 	schedMode := flag.Bool("sched", false, "replace the sweep loop with the continuous adaptive scheduler")
 	schedMin := flag.Duration("sched-min", 15*time.Minute, "scheduler: shortest polling interval for fast-changing pages")

@@ -16,12 +16,12 @@ package aide
 import (
 	"context"
 	"fmt"
-	neturl "net/url"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"aide/internal/breaker"
 	"aide/internal/formreg"
 	"aide/internal/htmldoc"
 	"aide/internal/obs"
@@ -124,16 +124,17 @@ type Server struct {
 	// trigger: handlers derive their context from the request's and add
 	// this deadline.
 	RequestTimeout time.Duration
-	// Concurrency bounds the number of hosts a sweep polls at once.
-	// Values <= 1 keep the serial sweep. URLs on the same host are
-	// always checked one at a time, whatever the bound.
+	// Concurrency bounds the number of hosts a sweep polls at once per
+	// shard of the Facility's store. Values <= 1 keep the serial sweep.
+	// Within a shard, URLs on the same host are always checked one at a
+	// time, whatever the bound.
 	Concurrency int
 	// MaxSimultaneous, when positive, bounds in-flight HTTP requests on
 	// the server's handler: excess requests are shed with 503 and a
 	// Retry-After hint instead of queueing without bound.
 	MaxSimultaneous int
-	// PhaseJitter, when positive, delays each host group's first check
-	// in a concurrent sweep by a deterministic per-host offset in
+	// PhaseJitter, when positive, delays each (shard, host) lane's first
+	// check in a concurrent sweep by a deterministic per-lane offset in
 	// [0, PhaseJitter), so sweep starts do not hammer every host at the
 	// same instant. Serial sweeps ignore it.
 	PhaseJitter time.Duration
@@ -244,150 +245,54 @@ func (s *Server) trackedURLs() []string {
 // TrackAll performs one server-side sweep: each distinct URL is checked
 // at most once (§8.3's economy of scale), changed pages are archived
 // automatically, and recursive roots contribute their links to the
-// tracked set. A done ctx stops the sweep between URLs; the remainder
-// is counted in Canceled.
+// tracked set. The checks run through sched.Drain, one lane per
+// (shard, host): with Concurrency > 1, up to Concurrency lanes per
+// shard run at once, so sweep throughput scales with the store's
+// partitioning while one slow or dead host delays only its own lanes.
+// A done ctx stops the sweep between URLs; the remainder is counted in
+// Canceled.
 func (s *Server) TrackAll(ctx context.Context) SweepStats {
 	var stats SweepStats
 	start := s.Clock.Now()
 	ctx, span := obs.StartSpan(ctx, "aide.sweep")
 	urls := s.trackedURLs()
 	span.SetAttr("urls", strconv.Itoa(len(urls)))
-	if s.Concurrency <= 1 {
-		for i, url := range urls {
-			if ctx.Err() != nil {
-				stats.Canceled = len(urls) - i
-				break
-			}
-			s.trackOne(ctx, url, &stats)
-		}
-	} else if s.Facility != nil && s.Facility.Shards() > 1 {
-		stats = s.trackAllSharded(ctx, urls)
-	} else {
-		stats = s.trackAllConcurrent(ctx, urls)
+	shards := 1
+	if s.Facility != nil {
+		shards = s.Facility.Shards()
 	}
+	width := s.Concurrency
+	if width > 1 {
+		width *= shards
+	}
+	swept := s.metrics().CounterVec("shard.swept", "shard")
+	var mu sync.Mutex
+	unstarted := sched.Drain(ctx, s.Clock, width, s.PhaseJitter, s.JitterSeed, urls, s.laneKey,
+		func(ctx context.Context, url string) {
+			var one SweepStats
+			s.trackOne(ctx, url, &one)
+			if shards > 1 {
+				swept.With(strconv.Itoa(s.Facility.ShardOf(url))).Add(int64(one.Checked))
+			}
+			mu.Lock()
+			stats.merge(one)
+			mu.Unlock()
+		})
+	stats.Canceled += len(unstarted)
 	stats.Distinct = len(s.trackedURLs())
 	s.recordSweep(span, stats, start)
 	return stats
 }
 
-// trackAllConcurrent polls hosts in parallel up to s.Concurrency while
-// keeping each host's URLs serial, so one slow or dead host delays only
-// its own group and is probed by at most one in-flight request. Each
-// group accumulates its own stats and merges them at the end — no
-// shared counters on the hot path.
-func (s *Server) trackAllConcurrent(ctx context.Context, urls []string) SweepStats {
-	type group struct {
-		host string
-		urls []string
+// laneKey is a URL's sweep lane: its shard and host, so a host is
+// probed by at most one request per shard. Hostless pseudo-URLs yield
+// "", a lane of their own.
+func (s *Server) laneKey(url string) string {
+	host := breaker.HostKey(url)
+	if host == "" || s.Facility == nil {
+		return host
 	}
-	var groupList []*group
-	hostGroup := make(map[string]int)
-	for _, u := range urls {
-		h := hostOfURL(u)
-		if h == "" {
-			groupList = append(groupList, &group{urls: []string{u}})
-			continue
-		}
-		gi, ok := hostGroup[h]
-		if !ok {
-			gi = len(groupList)
-			hostGroup[h] = gi
-			groupList = append(groupList, &group{host: h})
-		}
-		groupList[gi].urls = append(groupList[gi].urls, u)
-	}
-	sem := make(chan struct{}, s.Concurrency)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var total SweepStats
-	for _, g := range groupList {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			mu.Lock()
-			total.Canceled += len(g.urls)
-			mu.Unlock()
-			continue
-		}
-		wg.Add(1)
-		go func(g *group) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			var local SweepStats
-			// De-synchronise host starts with a deterministic per-host
-			// phase offset (same helper as the continuous scheduler).
-			if s.PhaseJitter > 0 && g.host != "" {
-				d := sched.Jitter(g.host, s.JitterSeed, s.PhaseJitter)
-				if err := simclock.Sleep(ctx, s.Clock, d); err != nil {
-					local.Canceled += len(g.urls)
-					mu.Lock()
-					total.merge(local)
-					mu.Unlock()
-					return
-				}
-			}
-			for _, u := range g.urls {
-				if ctx.Err() != nil {
-					local.Canceled++
-					continue
-				}
-				s.trackOne(ctx, u, &local)
-			}
-			mu.Lock()
-			total.merge(local)
-			mu.Unlock()
-		}(g)
-	}
-	wg.Wait()
-	return total
-}
-
-// trackAllSharded sweeps each shard of the facility's store in
-// parallel: URLs partition by the shard that owns their archive, and
-// each shard runs its own host-grouped pool (trackAllConcurrent), so
-// sweep throughput scales with the store's partitioning and no shard's
-// check-ins contend on another's directory. URLs of one host stay
-// serial within a shard; a host whose URLs hash to different shards can
-// see one in-flight request per shard — the per-host breakers and
-// politeness jitter still bound that.
-func (s *Server) trackAllSharded(ctx context.Context, urls []string) SweepStats {
-	shards := s.Facility.Shards()
-	parts := make([][]string, shards)
-	for _, u := range urls {
-		k := s.Facility.ShardOf(u)
-		parts[k] = append(parts[k], u)
-	}
-	var wg sync.WaitGroup
-	results := make([]SweepStats, shards)
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, part []string) {
-			defer wg.Done()
-			results[i] = s.trackAllConcurrent(ctx, part)
-			s.metrics().Counter(fmt.Sprintf("shard.%03d.swept", i)).Add(int64(results[i].Checked))
-		}(i, part)
-	}
-	wg.Wait()
-	var total SweepStats
-	for i := range results {
-		total.merge(results[i])
-	}
-	return total
-}
-
-// hostOfURL extracts the host[:port] for sweep grouping; hostless
-// pseudo-URLs (form:, file paths) yield "".
-func hostOfURL(rawURL string) string {
-	u, err := neturl.Parse(rawURL)
-	if err != nil {
-		return ""
-	}
-	return u.Host
+	return strconv.Itoa(s.Facility.ShardOf(url)) + " " + host
 }
 
 // recordSweep finishes a sweep's span and records its metrics. The

@@ -23,7 +23,9 @@
 package breaker
 
 import (
+	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -334,4 +336,16 @@ func (s *Set) Snapshot() []HostState {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
 	return out
+}
+
+// HostKey is the one host identity shared by the fetch path's breakers,
+// the sweeps' host lanes and the scheduler's politeness buckets: the
+// URL's lowercased host[:port], or "" when the URL has no authority
+// (form:<id>, file paths, unparseable input).
+func HostKey(rawURL string) string {
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return ""
+	}
+	return strings.ToLower(u.Host)
 }

@@ -221,3 +221,26 @@ func TestReadyHasNoSideEffects(t *testing.T) {
 		t.Errorf("Ready()=%v State()=%v after recovery, want true/Closed", b.Ready(), b.State())
 	}
 }
+
+func TestHostKey(t *testing.T) {
+	cases := []struct {
+		in, want string
+	}{
+		{"http://h/p", "h"},
+		{"http://h:8080/p", "h:8080"},
+		{"https://secure.example/x", "secure.example"},
+		{"HTTP://UPPER.example/", "upper.example"},
+		{"http://Example.COM:81/a", "example.com:81"},
+		{"http://h?x=1", "h"},
+		{"file:/etc/motd", ""},
+		{"form:watch-1", ""},
+		{"not a url at all", ""},
+		{"://bad", ""},
+		{"", ""},
+	}
+	for _, c := range cases {
+		if got := HostKey(c.in); got != c.want {
+			t.Errorf("HostKey(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}

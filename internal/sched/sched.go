@@ -20,9 +20,10 @@
 //   - per-host politeness: a GCRA token bucket per host (see bucket.go)
 //     plus deferral of hosts whose circuit breaker is not ready, so a
 //     tripped host is left alone rather than busy-polled;
-//   - a bounded worker pool draining due URLs host-serially through the
-//     caller-supplied Poll function, with graceful drain on cancellation
-//     (undrained URLs are requeued, never lost).
+//   - Drain (see drain.go), the host-lane executor that polls due URLs
+//     host-serially through the caller-supplied Poll function, with
+//     graceful drain on cancellation (undrained URLs are requeued, never
+//     lost). w3newer passes and AIDE server sweeps run through it too.
 //
 // Time comes from an injected simclock.Clock, and all randomness is
 // derived from FNV-1a hashes of (seed, URL), so a simulated run is
@@ -32,8 +33,6 @@ package sched
 import (
 	"container/heap"
 	"context"
-	"net/url"
-	"strings"
 	"sync"
 	"time"
 
@@ -165,7 +164,7 @@ func (c Config) idleWait() time.Duration {
 // item is one scheduled URL.
 type item struct {
 	url  string
-	host string
+	host string // breaker.HostKey(url); "" for hostless URLs
 
 	rate     float64       // EWMA of changed(1)/unchanged(0) outcomes
 	samples  int           // informative polls so far
@@ -178,6 +177,15 @@ type item struct {
 	lastPolled  time.Time
 	lastOutcome Outcome
 	polled      bool // lastPolled/lastOutcome are valid
+}
+
+// bucketKey names the item's politeness bucket: its host, or the URL
+// itself for a hostless URL, which has no server to share a budget with.
+func (it *item) bucketKey() string {
+	if it.host != "" {
+		return it.host
+	}
+	return it.url
 }
 
 // itemHeap is a min-heap on (due, seq).
@@ -210,8 +218,8 @@ func (h *itemHeap) Pop() any {
 	return it
 }
 
-// Scheduler drains a min-heap of per-URL due times through a bounded
-// worker pool, politely per host. Configure the exported fields before
+// Scheduler drains a min-heap of per-URL due times through Drain,
+// politely per host. Configure the exported fields before
 // the first Add/Tick; they must not change afterwards.
 type Scheduler struct {
 	// Clock paces the schedule; wall clock when nil.
@@ -302,7 +310,7 @@ func (s *Scheduler) Add(url string) bool {
 	}
 	it := &item{
 		url:      url,
-		host:     hostOf(url),
+		host:     breaker.HostKey(url),
 		interval: maxDur(s.cfg.minInterval(), floor),
 		floor:    floor,
 		index:    -1,
@@ -392,19 +400,12 @@ func (ts TickStats) Polls() int {
 	return ts.Changed + ts.Unchanged + ts.Failed + ts.Skipped
 }
 
-// hostWork is one host's share of a tick: the due items admitted for
-// polling, in due order.
-type hostWork struct {
-	host  string
-	items []*item
-}
-
 // Tick pops every URL at or past due, enforces breaker and politeness
-// deferral per host, polls the survivors through a bounded worker pool
-// (hosts in parallel, URLs within a host serial), reschedules each, and
-// returns what happened. When ctx is canceled mid-tick the remaining
-// URLs are requeued at their old due times — a drained tick never loses
-// work.
+// deferral per host, polls the survivors through Drain (hosts in
+// parallel up to Workers, URLs within a host serial), reschedules each,
+// and returns what happened. When ctx is canceled mid-tick the URLs
+// Drain never started are requeued at their old due times — a drained
+// tick never loses work.
 func (s *Scheduler) Tick(ctx context.Context) TickStats {
 	s.init(Config{})
 	clock := s.clock()
@@ -421,35 +422,28 @@ func (s *Scheduler) Tick(ctx context.Context) TickStats {
 	st.Due = len(due)
 	m.Gauge("sched.due_depth").Set(int64(len(due)))
 
-	// Partition by host; defer hosts whose breaker is not ready and
-	// items beyond the host's politeness budget.
-	var work []*hostWork
-	byHost := make(map[string]*hostWork)
+	// Defer hosts whose breaker is not ready and items beyond the
+	// host's politeness budget; admit the rest in due order.
+	var admitted []*item
 	T := time.Duration(float64(time.Second) / s.cfg.hostRPS())
 	for _, it := range due {
-		if s.Breakers != nil && !s.Breakers.For(it.host).Ready() {
+		if s.Breakers != nil && it.host != "" && !s.Breakers.For(it.host).Ready() {
 			it.due = now.Add(s.cfg.breakerDefer())
 			heap.Push(&s.heap, it)
 			st.DeferredBreaker++
 			m.Counter("sched.deferred.breaker").Inc()
 			continue
 		}
-		hw := byHost[it.host]
-		if hw == nil {
-			hw = &hostWork{host: it.host}
-			byHost[it.host] = hw
-			work = append(work, hw)
-		}
-		b := s.buckets[it.host]
+		b := s.buckets[it.bucketKey()]
 		if b == nil {
 			b = newBucket(s.cfg.hostRPS(), s.cfg.hostBurst())
-			s.buckets[it.host] = b
+			s.buckets[it.bucketKey()] = b
 		}
 		// Anything beyond the host's politeness budget is deferred to
 		// its conforming time, each deferred item staggered one emission
 		// interval after the previous so they do not pile up again.
 		if wait, ok := b.take(now); ok {
-			hw.items = append(hw.items, it)
+			admitted = append(admitted, it)
 		} else {
 			it.due = now.Add(wait + time.Duration(b.deferrals)*T)
 			b.deferrals++
@@ -463,75 +457,41 @@ func (s *Scheduler) Tick(ctx context.Context) TickStats {
 	}
 	s.mu.Unlock()
 
-	// Poll: hosts in parallel (bounded), URLs within a host serial.
-	var (
-		wg   sync.WaitGroup
-		sem  = make(chan struct{}, s.cfg.workers())
-		resm sync.Mutex
-	)
-	for _, hw := range work {
-		select {
-		case <-ctx.Done():
-			// Drain: requeue everything not yet started.
-			s.requeue(hw.items, &st, &resm)
-			continue
-		case sem <- struct{}{}:
-		}
-		wg.Add(1)
-		go func(hw *hostWork) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			for i, it := range hw.items {
-				if ctx.Err() != nil {
-					s.requeue(hw.items[i:], &st, &resm)
-					return
-				}
-				out := s.Poll(ctx, it.url)
-				pollTime := clock.Now()
-				s.reschedule(it, out, pollTime)
-				resm.Lock()
-				st.Polled++
-				switch out {
-				case Changed:
-					st.Changed++
-				case Unchanged:
-					st.Unchanged++
-				case Failed:
-					st.Failed++
-				case Skipped:
-					st.Skipped++
-				}
-				resm.Unlock()
-				m.Counter("sched.polls." + out.String()).Inc()
+	var resm sync.Mutex
+	unstarted := Drain(ctx, clock, s.cfg.workers(), 0, 0, admitted,
+		func(it *item) string { return it.host },
+		func(ctx context.Context, it *item) {
+			out := s.Poll(ctx, it.url)
+			s.reschedule(it, out, clock.Now())
+			resm.Lock()
+			st.Polled++
+			switch out {
+			case Changed:
+				st.Changed++
+			case Unchanged:
+				st.Unchanged++
+			case Failed:
+				st.Failed++
+			case Skipped:
+				st.Skipped++
 			}
-		}(hw)
-	}
-	wg.Wait()
+			resm.Unlock()
+			m.Counter("sched.polls." + out.String()).Inc()
+		})
+	st.Requeued = len(unstarted)
 
 	s.mu.Lock()
+	// Requeue unpolled items at their original due times, so they come
+	// due immediately next tick.
+	for _, it := range unstarted {
+		if _, ok := s.items[it.url]; ok { // not removed mid-tick
+			heap.Push(&s.heap, it)
+		}
+	}
 	st.Queue = len(s.items)
 	s.mu.Unlock()
 	m.Gauge("sched.queue_len").Set(int64(st.Queue))
 	return st
-}
-
-// requeue puts unpolled items back on the heap at their original due
-// times (capped to now so they come due immediately next tick).
-func (s *Scheduler) requeue(items []*item, st *TickStats, resm *sync.Mutex) {
-	if len(items) == 0 {
-		return
-	}
-	s.mu.Lock()
-	for _, it := range items {
-		if _, ok := s.items[it.url]; !ok {
-			continue // removed mid-tick
-		}
-		heap.Push(&s.heap, it)
-	}
-	s.mu.Unlock()
-	resm.Lock()
-	st.Requeued += len(items)
-	resm.Unlock()
 }
 
 // reschedule updates the item's estimator from the outcome and pushes
@@ -624,14 +584,4 @@ func clampDur(d, lo, hi time.Duration) time.Duration {
 		return hi
 	}
 	return d
-}
-
-// hostOf extracts the lowercased host[:port] from a URL, mirroring the
-// tracker's grouping so breaker and politeness keys line up.
-func hostOf(rawURL string) string {
-	u, err := url.Parse(rawURL)
-	if err != nil || u.Host == "" {
-		return rawURL
-	}
-	return strings.ToLower(u.Host)
 }

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"aide/internal/obs"
-	"aide/internal/webclient"
 )
 
 // This file implements the rest of §4.2's resource-utilization remedies:
@@ -26,9 +24,9 @@ import (
 //     immediately rather than piling onto a saturated machine.
 //
 //   - Export/Import move the whole repository (archives, user control
-//     files, entity sidecars) as one portable JSON dump, and
-//     ReplicateFrom pulls a leader's export over HTTP — the mechanism a
-//     replica farm would use.
+//     files, entity sidecars) as one portable JSON dump; the per-shard
+//     Replicator (replicator.go) pushes the same stream shard by shard
+//     to a replica farm.
 
 // Gate limits simultaneous requests to the wrapped handler. Shed
 // requests get 503 plus a Retry-After hint, which webclient's
@@ -274,30 +272,6 @@ func (f *Facility) Import(r io.Reader) (files int, err error) {
 		}
 		f.recordChecksum(df.Kind, df.Name, []byte(df.Data))
 		files++
-	}
-}
-
-// ReplicateFrom pulls a leader facility's /export over the given
-// transport under ctx and imports it, returning the number of files
-// installed.
-func (f *Facility) ReplicateFrom(ctx context.Context, leaderBase string, transport webclient.Transport) (int, error) {
-	client := webclient.New(transport)
-	info, err := client.Get(ctx, strings.TrimSuffix(leaderBase, "/")+"/export")
-	if err != nil {
-		return 0, fmt.Errorf("snapshot: replicating from %s: %w", leaderBase, err)
-	}
-	if kind := webclient.Classify(info.Status, nil); kind != webclient.OK {
-		return 0, fmt.Errorf("snapshot: replicating from %s: HTTP %d", leaderBase, info.Status)
-	}
-	return f.Import(strings.NewReader(info.Body))
-}
-
-// handleExport streams the repository dump (§4.2 replication).
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", exportContentType)
-	if err := s.Facility.Export(w); err != nil {
-		// Headers are out; report in-band.
-		fmt.Fprintf(w, "\nEXPORT ERROR: %s\n", err)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"aide/internal/webclient"
 )
 
 func TestExportImportRoundTrip(t *testing.T) {
@@ -49,26 +47,6 @@ func TestExportImportRoundTrip(t *testing.T) {
 	urls, _ := follower.fac.ArchivedURLs()
 	if len(urls) != 2 {
 		t.Fatalf("replica urls = %v", urls)
-	}
-}
-
-func TestReplicateOverHTTP(t *testing.T) {
-	leader := newRig(t)
-	leader.web.Site("h").Page("/p").Set("replicated content\n")
-	leader.fac.Remember(context.Background(), userA, "http://h/p")
-	srv := NewServer(leader.fac)
-	srv.KeepaliveInterval = 0
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	follower := newRig(t)
-	files, err := follower.fac.ReplicateFrom(context.Background(), ts.URL, &webclient.HTTPTransport{})
-	if err != nil || files == 0 {
-		t.Fatalf("replicate: %d files, err %v", files, err)
-	}
-	text, err := follower.fac.Checkout("http://h/p", "")
-	if err != nil || text != "replicated content\n" {
-		t.Fatalf("replica head: (%q,%v)", text, err)
 	}
 }
 
@@ -310,19 +288,4 @@ func TestServerMaxSimultaneousWired(t *testing.T) {
 		t.Fatalf("gated index: %v %d", err, resp.StatusCode)
 	}
 	resp.Body.Close()
-}
-
-// TestExportEndpoint checks /export streams a usable dump.
-func TestExportEndpoint(t *testing.T) {
-	r, ts := serverRig(t)
-	r.web.Site("h").Page("/p").Set("x\n")
-	r.fac.Remember(context.Background(), userA, "http://h/p")
-	code, body := get(t, ts.URL+"/export")
-	if code != 200 || !strings.Contains(body, `"kind":"archive"`) {
-		t.Fatalf("export: %d\n%s", code, body)
-	}
-	follower := newRig(t)
-	if files, err := follower.fac.Import(strings.NewReader(body)); err != nil || files == 0 {
-		t.Fatalf("import of endpoint dump: %d files, %v", files, err)
-	}
 }

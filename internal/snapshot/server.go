@@ -138,7 +138,6 @@ func (s *Server) routes() (*http.ServeMux, func(*Gate)) {
 	mux.HandleFunc("/rlog", s.handleRlog)
 	mux.HandleFunc("/rcsdiff", s.handleRcsdiff)
 	mux.HandleFunc("/account/new", s.handleAccountNew)
-	mux.HandleFunc("/export", s.handleExport)
 	mux.HandleFunc("/shard/manifest", s.handleShardManifest)
 	mux.HandleFunc("/shard/export", s.handleShardExport)
 	mux.HandleFunc("/shard/import", s.handleShardImport)

@@ -107,24 +107,3 @@ func TestTrackerRunPreCanceled(t *testing.T) {
 		t.Errorf("pre-canceled run issued %d requests", heads+gets)
 	}
 }
-
-func TestHostOf(t *testing.T) {
-	cases := []struct {
-		in, want string
-	}{
-		{"http://h/p", "h"},
-		{"http://h:8080/p", "h:8080"},
-		{"https://secure.example/x", "secure.example"},
-		{"HTTP://UPPER.example/", "UPPER.example"},
-		{"file:/etc/motd", ""},
-		{"form:watch-1", ""},
-		{"not a url at all", ""},
-		{"://bad", ""},
-		{"", ""},
-	}
-	for _, c := range cases {
-		if got := hostOf(c.in); got != c.want {
-			t.Errorf("hostOf(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}

@@ -91,7 +91,7 @@ func TestPerHostSerialization(t *testing.T) {
 	maxInflight := map[string]int{}
 	base := r.tr.Client.Transport
 	r.tr.Client.Transport = transportFunc(func(ctx context.Context, req *webclient.Request) (*webclient.Response, error) {
-		host := hostOf(req.URL)
+		host := breaker.HostKey(req.URL)
 		mu.Lock()
 		inflight[host]++
 		if inflight[host] > maxInflight[host] {

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"aide/internal/breaker"
 )
 
 // This file renders w3newer's HTML report (the paper's Figure 1): one
@@ -179,7 +181,7 @@ func HostSummary(results []Result) []HostCounts {
 	byHost := make(map[string]*HostCounts)
 	var order []string
 	for _, r := range results {
-		h := hostOf(r.Entry.URL)
+		h := breaker.HostKey(r.Entry.URL)
 		hc, ok := byHost[h]
 		if !ok {
 			hc = &HostCounts{Host: h}

@@ -27,7 +27,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -35,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"aide/internal/breaker"
 	"aide/internal/formreg"
 	"aide/internal/fsatomic"
 	"aide/internal/hotlist"
@@ -157,13 +157,13 @@ type Options struct {
 	// SkipHostAfterError becomes best-effort: checks already in flight
 	// when a host fails are not recalled.
 	Concurrency int
-	// PhaseJitter, when positive, delays each host group's first check
-	// in a concurrent run by a deterministic per-host offset in
+	// PhaseJitter, when positive, delays each host's first check in a
+	// concurrent run by a deterministic per-host offset in
 	// [0, PhaseJitter), so a sweep does not fire every host's first
 	// request at the same instant. The offset is sched.Jitter(host,
-	// JitterSeed, PhaseJitter), the same helper the continuous
-	// scheduler uses. Serial runs ignore it (they are host-serial by
-	// construction).
+	// JitterSeed, PhaseJitter) with host = breaker.HostKey(url), the
+	// same helper the continuous scheduler uses. Serial runs ignore it
+	// (they are host-serial by construction).
 	PhaseJitter time.Duration
 	// JitterSeed keys PhaseJitter's deterministic offsets.
 	JitterSeed int64
@@ -289,8 +289,14 @@ func (h *hostErrs) markBad(host string) {
 }
 
 // Run checks every hotlist entry and returns one result per entry, in
-// hotlist order. With Opt.Concurrency > 1, distinct URLs are checked in
-// parallel up to the bound; duplicate hotlist entries share one check.
+// hotlist order. Entries naming the same URL share one check: per-URL
+// state is not designed for two simultaneous checks of the same page,
+// and one check suffices. The checks run through sched.Drain with one
+// lane per host: with Opt.Concurrency > 1, hosts are checked in
+// parallel up to the bound while each host's URLs stay serial, so a
+// misbehaving host is probed by at most one in-flight request and the
+// skip-host and circuit-breaker knowledge gained on its first URL
+// protects all its later ones.
 //
 // Cancellation: once ctx is done, no new checks are launched and the
 // remaining entries are returned as NotChecked with Via "canceled" —
@@ -304,22 +310,31 @@ func (t *Tracker) Run(ctx context.Context, entries []hotlist.Entry) []Result {
 	ctx, span := obs.StartSpan(ctx, "tracker.sweep")
 	span.SetAttr("entries", strconv.Itoa(len(entries)))
 	badHosts := newHostErrs()
-	var results []Result
-	if t.Opt.Concurrency <= 1 {
-		results = make([]Result, 0, len(entries))
-		for i, e := range entries {
-			if ctx.Err() != nil {
-				for _, rest := range entries[i:] {
-					results = append(results, canceledResult(rest))
-				}
-				break
-			}
-			r := t.checkOne(ctx, e, badHosts)
-			t.noteFailure(r, badHosts)
-			results = append(results, r)
+	results := make([]Result, len(entries))
+	first := make(map[string]int, len(entries))
+	var order []int // indexes of the first occurrence of each URL
+	for i, e := range entries {
+		if _, dup := first[e.URL]; !dup {
+			first[e.URL] = i
+			order = append(order, i)
 		}
-	} else {
-		results = t.runConcurrent(ctx, entries, badHosts)
+	}
+	unstarted := sched.Drain(ctx, t.Clock, t.Opt.Concurrency, t.Opt.PhaseJitter, t.Opt.JitterSeed, order,
+		func(i int) string { return breaker.HostKey(entries[i].URL) },
+		func(ctx context.Context, i int) {
+			r := t.checkOne(ctx, entries[i], badHosts)
+			t.noteFailure(r, badHosts)
+			results[i] = r
+		})
+	for _, i := range unstarted {
+		results[i] = canceledResult(entries[i])
+	}
+	for i, e := range entries {
+		if p := first[e.URL]; p != i {
+			r := results[p]
+			r.Entry = e
+			results[i] = r
+		}
 	}
 	t.recordSweep(span, results, start)
 	return results
@@ -375,116 +390,10 @@ func (t *Tracker) noteFailure(r Result, badHosts *hostErrs) {
 		// The host's circuit breaker is open: nothing else will get
 		// through this run, so skip its remaining URLs regardless of the
 		// SkipHostAfterError policy.
-		badHosts.markBad(hostOf(r.Entry.URL))
+		badHosts.markBad(breaker.HostKey(r.Entry.URL))
 	case t.Opt.SkipHostAfterError && r.ErrKind == webclient.Transient:
-		badHosts.markBad(hostOf(r.Entry.URL))
+		badHosts.markBad(breaker.HostKey(r.Entry.URL))
 	}
-}
-
-// runConcurrent fans the checks out over a bounded worker pool with
-// per-host serialization: distinct hosts run in parallel up to the
-// Concurrency bound, but a single host's URLs are checked one at a time
-// by one worker. A misbehaving host is therefore probed by at most one
-// in-flight request — skip-host and circuit-breaker knowledge gained on
-// its first URL protects all its later ones, and no host ever sees a
-// thundering herd from a single sweep. Results keep hotlist order;
-// entries naming the same URL are checked once and share the outcome
-// (their own Entry is preserved in each Result). A done ctx stops
-// further launches; checks already in flight finish (or fail fast,
-// since the same ctx reaches the transport) and everything not yet
-// launched comes back canceled.
-func (t *Tracker) runConcurrent(ctx context.Context, entries []hotlist.Entry, badHosts *hostErrs) []Result {
-	results := make([]Result, len(entries))
-	// Group duplicate URLs: per-URL state is not designed for two
-	// simultaneous checks of the same page, and one check suffices.
-	first := make(map[string]int, len(entries))
-	var order []int // indexes of the first occurrence of each URL
-	for i, e := range entries {
-		if _, dup := first[e.URL]; !dup {
-			first[e.URL] = i
-			order = append(order, i)
-		}
-	}
-	// Partition the unique URLs into serial groups: one group per host,
-	// in first-appearance order. Hostless pseudo-URLs (file:, form:)
-	// have no server to protect, so each forms its own group and still
-	// runs in parallel with everything else.
-	type group struct{ idxs []int }
-	var groupList []*group
-	hostGroup := make(map[string]*group)
-	for _, idx := range order {
-		h := hostOf(entries[idx].URL)
-		if h == "" {
-			groupList = append(groupList, &group{idxs: []int{idx}})
-			continue
-		}
-		g, ok := hostGroup[h]
-		if !ok {
-			g = &group{}
-			hostGroup[h] = g
-			groupList = append(groupList, g)
-		}
-		g.idxs = append(g.idxs, idx)
-	}
-	sem := make(chan struct{}, t.Opt.Concurrency)
-	var wg sync.WaitGroup
-	launched := make(map[int]bool, len(order))
-launch:
-	for _, g := range groupList {
-		// Waiting for a worker slot must not outlive the run's deadline.
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break launch
-		}
-		for _, idx := range g.idxs {
-			launched[idx] = true
-		}
-		wg.Add(1)
-		go func(idxs []int) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			// De-synchronise host starts: each host group waits out its
-			// own deterministic phase offset before its first request.
-			if t.Opt.PhaseJitter > 0 {
-				if h := hostOf(entries[idxs[0]].URL); h != "" {
-					d := sched.Jitter(h, t.Opt.JitterSeed, t.Opt.PhaseJitter)
-					if err := simclock.Sleep(ctx, t.Clock, d); err != nil {
-						for _, idx := range idxs {
-							results[idx] = canceledResult(entries[idx])
-						}
-						return
-					}
-				}
-			}
-			for _, idx := range idxs {
-				if ctx.Err() != nil {
-					results[idx] = canceledResult(entries[idx])
-					continue
-				}
-				r := t.checkOne(ctx, entries[idx], badHosts)
-				t.noteFailure(r, badHosts)
-				results[idx] = r
-			}
-		}(g.idxs)
-	}
-	wg.Wait()
-	for _, idx := range order {
-		if !launched[idx] {
-			results[idx] = canceledResult(entries[idx])
-		}
-	}
-	// Fill in duplicates from their primary's outcome.
-	for i, e := range entries {
-		if p := first[e.URL]; p != i {
-			r := results[p]
-			r.Entry = e
-			results[i] = r
-		}
-	}
-	return results
 }
 
 // CheckEntry applies the §3 decision procedure to a single hotlist
@@ -535,7 +444,7 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *hostE
 	}
 
 	// Host already known bad this run?
-	if badHosts.bad(hostOf(e.URL)) {
+	if badHosts.bad(breaker.HostKey(e.URL)) {
 		r.Status = NotChecked
 		r.Via = "host-error"
 		return r
@@ -722,17 +631,6 @@ func (t *Tracker) recordSuccess(url string, mod time.Time, checksum string, now 
 	}
 	st.CheckedAt = now
 	st.ErrCount = 0
-}
-
-// hostOf extracts the host[:port] component of a URL for the host-error
-// bookkeeping. Scheme-less URLs and pseudo-URLs without an authority
-// (form:<id>, file paths) yield "", which the bookkeeping ignores.
-func hostOf(rawURL string) string {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return ""
-	}
-	return u.Host
 }
 
 // --- state persistence -------------------------------------------------------

@@ -111,7 +111,7 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (resp *Response, t
 	m := c.metrics()
 	var br *breaker.Breaker
 	if c.Breakers != nil {
-		if host := hostOfURL(req.URL); host != "" {
+		if host := breaker.HostKey(req.URL); host != "" {
 			br = c.Breakers.For(host)
 		}
 	}
@@ -125,7 +125,7 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (resp *Response, t
 			// The host's breaker is open: fail fast, distinctly, without
 			// touching the wire — retrying here would defeat the point.
 			m.Counter("webclient.breaker.short_circuits").Inc()
-			return nil, tries, backoff, fmt.Errorf("%w: %s", ErrBreakerOpen, hostOfURL(req.URL))
+			return nil, tries, backoff, fmt.Errorf("%w: %s", ErrBreakerOpen, breaker.HostKey(req.URL))
 		}
 		tries++
 		m.Counter("webclient.attempts").Inc()

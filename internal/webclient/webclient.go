@@ -590,18 +590,6 @@ func parseRetryAfter(v string) time.Duration {
 	return 0
 }
 
-// hostOfURL extracts the host[:port] component of an http(s) URL for
-// per-host bookkeeping (circuit breakers). URLs without an authority
-// (file:, form:<id>) yield "".
-func hostOfURL(rawURL string) string {
-	_, rest, ok := strings.Cut(rawURL, "://")
-	if !ok {
-		return ""
-	}
-	host, _, _ := strings.Cut(rest, "/")
-	return host
-}
-
 // IsTimeout reports whether err is a network timeout — including a
 // tripped per-request context deadline — for callers that want to
 // distinguish overload from other transient failures (§3.1's
