@@ -292,7 +292,7 @@ func TestChaosLoadSheddingRetryAfter(t *testing.T) {
 	if got := clock.Now().Sub(simclock.Epoch); got != 3*time.Second {
 		t.Errorf("retry pause = %v, want the advertised 3s", got)
 	}
-	if n := reg.Counter("webclient.retries.retry-after").Value(); n != 1 {
+	if n := reg.CounterVec("webclient.retries", "cause").With("retry-after").Value(); n != 1 {
 		t.Errorf("retry-after retries = %d, want 1", n)
 	}
 	if gate.Rejected() == 0 {

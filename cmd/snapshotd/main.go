@@ -19,14 +19,16 @@
 //	          [-debug-addr :6060] [-log-level info]
 //
 // -shards N partitions the archive store across N shard directories by
-// consistent hashing of the URL (1 = the flat layout, format-compatible
-// with repositories from earlier versions). Opening an existing
-// repository with a new shard count triggers a rebalance pass before
-// serving. -replicas lists replica snapshotd base URLs the leader
-// pushes per-shard deltas to, every -replica-sync, with a seeded
-// anti-entropy sample of -replica-repair-shards shards each round
-// (-jitter-seed drives the shard choice); /debug/shards reports
-// per-shard population, replica lag, and each replica's health.
+// consistent hashing of the URL; with 1 the only shard is the data
+// directory itself, the flat layout of repositories from earlier
+// versions. Every boot runs a rebalance pass before serving, so a
+// repository reopened with more or fewer shards — down to 1 — migrates
+// its files and keeps serving every archive. -replicas lists replica
+// snapshotd base URLs the leader pushes per-shard deltas to, every
+// -replica-sync, with a seeded anti-entropy sample of
+// -replica-repair-shards shards each round (-jitter-seed drives the
+// shard choice); /debug/shards reports per-shard population, replica
+// lag, and each replica's health.
 // -diffcache-max is the rendered-diff cache's byte budget (LRU-evicted,
 // invalidated per URL on check-in); -prewarm sizes the worker pool that
 // re-renders each page's hot revision pairs after a changed check-in so
@@ -182,14 +184,14 @@ func main() {
 	}
 	fac.SetDiffCacheMax(*diffCacheMax)
 	fac.EnablePrewarm(*prewarm)
-	if *shards > 1 {
-		moved, err := fac.Rebalance()
-		if err != nil {
-			log.Fatal("snapshotd: rebalance: ", err)
-		}
-		if moved > 0 {
-			log.Printf("snapshotd: rebalanced %d files across %d shards", moved, *shards)
-		}
+	// Every boot rebalances: a no-op unless the shard count changed
+	// (grown or shrunk) since the repository was last served.
+	moved, err := fac.Rebalance()
+	if err != nil {
+		log.Fatal("snapshotd: rebalance: ", err)
+	}
+	if moved > 0 {
+		log.Printf("snapshotd: rebalanced %d files across %d shards", moved, fac.Shards())
 	}
 	cfg := loadConfig(*configPath)
 	srv := aide.NewServer(fac, client, cfg, nil)

@@ -457,6 +457,7 @@ func (s *Scheduler) Tick(ctx context.Context) TickStats {
 	}
 	s.mu.Unlock()
 
+	polls := m.CounterVec("sched.polls", "outcome")
 	var resm sync.Mutex
 	unstarted := Drain(ctx, clock, s.cfg.workers(), 0, 0, admitted,
 		func(it *item) string { return it.host },
@@ -476,7 +477,7 @@ func (s *Scheduler) Tick(ctx context.Context) TickStats {
 				st.Skipped++
 			}
 			resm.Unlock()
-			m.Counter("sched.polls." + out.String()).Inc()
+			polls.With(out.String()).Inc()
 		})
 	st.Requeued = len(unstarted)
 

@@ -44,7 +44,7 @@ var ErrNeverSaved = errors.New("snapshot: page never saved by this user")
 
 // Facility is the snapshot service instance.
 type Facility struct {
-	store  Store
+	store  *Store
 	client *webclient.Client
 	clock  simclock.Clock
 	locks  *lockmgr.Manager
@@ -87,39 +87,23 @@ func (f *Facility) metrics() *obs.Registry {
 	return obs.Default
 }
 
-// New creates (or reopens) a facility rooted at dir with the default
-// flat store. If clock is nil the wall clock is used. When the
+// New creates (or reopens) a facility rooted at dir over a one-shard
+// store. If clock is nil the wall clock is used. When the
 // SNAPSHOT_TEST_SHARDS environment variable is set to N > 1, New builds
 // an N-shard store instead — the hook the CI matrix uses to run every
 // suite against the sharded layout.
 func New(dir string, client *webclient.Client, clock simclock.Clock) (*Facility, error) {
-	shards := 1
-	if s := os.Getenv("SNAPSHOT_TEST_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 1 {
-			shards = n
-		}
-	}
+	shards, _ := strconv.Atoi(os.Getenv("SNAPSHOT_TEST_SHARDS"))
 	return NewSharded(dir, shards, client, clock)
 }
 
 // NewSharded creates (or reopens) a facility over an N-shard store
-// (shards <= 1 means the flat layout).
+// (shards <= 1 means one shard: the flat layout).
 func NewSharded(dir string, shards int, client *webclient.Client, clock simclock.Clock) (*Facility, error) {
-	var st Store
-	var err error
-	if shards <= 1 {
-		st, err = NewFlatStore(dir)
-	} else {
-		st, err = NewShardedStore(dir, shards)
-	}
+	st, err := NewStore(dir, shards)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithStore(st, client, clock)
-}
-
-// NewWithStore wires a facility over an already-constructed store.
-func NewWithStore(st Store, client *webclient.Client, clock simclock.Clock) (*Facility, error) {
 	if clock == nil {
 		clock = simclock.Wall{}
 	}
@@ -127,9 +111,9 @@ func NewWithStore(st Store, client *webclient.Client, clock simclock.Clock) (*Fa
 		store:     st,
 		client:    client,
 		clock:     clock,
-		locks:     lockmgr.New(filepath.Join(st.Root(), "locks")),
+		locks:     lockmgr.New(filepath.Join(dir, "locks")),
 		diffCache: newDiffCache(DefaultDiffCacheMax),
-		ledger:    newChecksumLedger(filepath.Join(st.Root(), "scrub")),
+		ledger:    newChecksumLedger(filepath.Join(dir, "scrub")),
 	}, nil
 }
 
@@ -137,7 +121,7 @@ func NewWithStore(st Store, client *webclient.Client, clock simclock.Clock) (*Fa
 func (f *Facility) Root() string { return f.store.Root() }
 
 // Store returns the facility's storage layer.
-func (f *Facility) Store() Store { return f.store }
+func (f *Facility) Store() *Store { return f.store }
 
 // Shards reports how many shards partition the facility's store.
 func (f *Facility) Shards() int { return f.store.Shards() }
@@ -210,8 +194,8 @@ func (f *Facility) RememberContent(ctx context.Context, user, pageURL, body stri
 	defer span.End()
 	m := f.metrics()
 	m.Counter("snapshot.checkins").Inc()
-	if n := f.store.Shards(); n > 1 {
-		m.Counter(fmt.Sprintf("shard.%03d.checkins", f.store.ShardOf(pageURL))).Inc()
+	if f.store.Shards() > 1 {
+		m.CounterVec("shard.checkins", "shard").With(strconv.Itoa(f.store.ShardOf(pageURL))).Inc()
 	}
 	arch := f.archive(pageURL)
 	first := !arch.Exists()
@@ -675,9 +659,12 @@ type ShardStat struct {
 }
 
 // ShardStats reports per-shard archive counts and sizes (one row for a
-// flat store), and keeps the shard.*.archives/bytes gauges current.
+// one-shard store), and keeps the shard.archives/bytes{shard} gauges
+// current.
 func (f *Facility) ShardStats() ([]ShardStat, error) {
 	out := make([]ShardStat, f.store.Shards())
+	archives := f.metrics().GaugeVec("shard.archives", "shard")
+	sizes := f.metrics().GaugeVec("shard.bytes", "shard")
 	for i := range out {
 		out[i].Shard = i
 		urls, err := f.store.ShardURLs(i)
@@ -689,8 +676,8 @@ func (f *Facility) ShardStats() ([]ShardStat, error) {
 			out[i].Bytes += f.archive(u).Size()
 		}
 		if f.store.Shards() > 1 {
-			f.metrics().Gauge(fmt.Sprintf("shard.%03d.archives", i)).Set(int64(out[i].Archives))
-			f.metrics().Gauge(fmt.Sprintf("shard.%03d.bytes", i)).Set(out[i].Bytes)
+			archives.With(strconv.Itoa(i)).Set(int64(out[i].Archives))
+			sizes.With(strconv.Itoa(i)).Set(out[i].Bytes)
 		}
 	}
 	return out, nil

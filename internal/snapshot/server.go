@@ -268,18 +268,21 @@ func (s *Server) handleRemember(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	w.Header().Set("Content-Type", "text/html")
-	s.withKeepalive(w, func() (string, error) {
+	s.streamKeepalive(w, func() (func(io.Writer) error, error) {
 		res, err := s.Facility.Remember(ctx, user, pageURL)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		verb := "saved as revision " + res.Rev
 		if !res.Changed {
 			verb = "unchanged since revision " + res.Rev + "; not saved again"
 		}
-		return fmt.Sprintf(
-			"<HTML><BODY><H2>Remembered</H2><P><A HREF=\"%s\">%s</A>: %s.</P></BODY></HTML>\n",
-			html.EscapeString(pageURL), html.EscapeString(pageURL), verb), nil
+		return func(w io.Writer) error {
+			_, err := fmt.Fprintf(w,
+				"<HTML><BODY><H2>Remembered</H2><P><A HREF=\"%s\">%s</A>: %s.</P></BODY></HTML>\n",
+				html.EscapeString(pageURL), html.EscapeString(pageURL), verb)
+			return err
+		}, nil
 	})
 }
 
@@ -460,61 +463,15 @@ func (s *Server) handleRcsdiff(w http.ResponseWriter, r *http.Request) {
 	ds.Render(fw)
 }
 
-// withKeepalive runs work while trickling ignorable bytes to the client,
-// then writes the result. This reproduces the §4.2 hack: "snapshot forks
-// a child process that generates one space character (ignored by the W3
-// browser) every several seconds while the parent is retrieving a page
-// or executing HtmlDiff".
-func (s *Server) withKeepalive(w http.ResponseWriter, work func() (string, error)) {
-	if s.KeepaliveInterval <= 0 {
-		out, err := work()
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		fmt.Fprint(w, out)
-		return
-	}
-	type outcome struct {
-		out string
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		out, err := work()
-		done <- outcome{out, err}
-	}()
-	ticker := time.NewTicker(s.KeepaliveInterval)
-	defer ticker.Stop()
-	flusher, _ := w.(http.Flusher)
-	for {
-		select {
-		case <-ticker.C:
-			// One space, ignored by the browser, keeps httpd happy.
-			fmt.Fprint(w, " ")
-			if flusher != nil {
-				flusher.Flush()
-			}
-		case o := <-done:
-			if o.err != nil {
-				// Headers may already be out; deliver the error in-band.
-				fmt.Fprintf(w, "<HTML><BODY><B>Error:</B> %s</BODY></HTML>\n",
-					html.EscapeString(o.err.Error()))
-				return
-			}
-			fmt.Fprint(w, o.out)
-			return
-		}
-	}
-}
-
-// streamKeepalive is withKeepalive for streamed responses: prepare does
-// the slow work (fetch, checkout, alignment) while the §4.2 trickle
-// keeps the connection alive, and the returned render function then
-// streams the page through a Flusher-aware writer — first bytes reach
-// the client while the tail is still being rendered, and a client that
-// hung up turns the rest of the render into no-ops via the writer's
-// sticky error.
+// streamKeepalive runs prepare — the slow work: fetch, checkout,
+// alignment — while trickling ignorable bytes to the client, then
+// streams the page its render function writes. This reproduces the
+// §4.2 hack: "snapshot forks a child process that generates one space
+// character (ignored by the W3 browser) every several seconds while the
+// parent is retrieving a page or executing HtmlDiff". Rendering goes
+// through a Flusher-aware writer, so first bytes reach the client while
+// the tail is still being rendered, and a client that hung up turns the
+// rest of the render into no-ops via the writer's sticky error.
 func (s *Server) streamKeepalive(w http.ResponseWriter, prepare func() (func(io.Writer) error, error)) {
 	stream := func(render func(io.Writer) error) {
 		fw := flushwriter.New(w, 0)

@@ -1,22 +1,18 @@
 package snapshot
 
-// This file is the facility's storage layer, made pluggable so the
-// archive space can be partitioned. The paper's §4.2 anticipates the
-// need: a saturated facility "could ... replicate itself among multiple
-// computers, as many W3 services do". A Store maps page URLs and user
-// names to the files that hold their archives, entity sidecars, and
-// control files, and enumerates them for sweeps and replication.
+// This file is the facility's storage layer. The paper's §4.2
+// anticipates a saturated facility that "could ... replicate itself
+// among multiple computers, as many W3 services do"; the Store maps page
+// URLs and user names to the files that hold their archives, entity
+// sidecars, and control files, partitions them across N shard
+// directories, and enumerates them for sweeps and replication.
 //
-// Two implementations:
-//
-//   - FlatStore is the original layout — one repo/ and one users/
-//     directory under the root. Repositories created by earlier
-//     versions open unchanged.
-//
-//   - ShardedStore partitions the same files across N shard
-//     directories by consistent hashing (a hash ring with virtual
-//     nodes), so shards can be added later and only ~1/N of the keys
-//     move; Rebalance migrates the misplaced remainder.
+// There is one layout. Shards are assigned by consistent hashing (a
+// hash ring with virtual nodes), so shards can be added later and only
+// ~1/N of the keys move; Rebalance migrates the misplaced remainder, in
+// either direction. A one-shard store keeps its single shard in the
+// root itself — root/repo and root/users — which is the original flat
+// layout, so repositories created before sharding open unchanged.
 //
 // The ring is keyed on file *base names*, not raw URLs. A base name is
 // a pure function of its URL (see archiveBase), so this is consistent
@@ -64,57 +60,8 @@ type StoredFile struct {
 	Name string
 	// Path is the file's full path.
 	Path string
-	// Shard is the shard holding the file (0 in a flat store).
+	// Shard is the shard holding the file (0 in a one-shard store).
 	Shard int
-}
-
-// Store is the snapshot facility's pluggable storage layer: it decides
-// where archives, entity sidecars, and user control files live, and
-// enumerates them for listings, export, and replication.
-type Store interface {
-	// Root returns the store's top-level data directory.
-	Root() string
-	// Shards reports how many shards partition the store (1 = flat).
-	Shards() int
-	// ShardOf maps a page URL to the shard holding its archive.
-	ShardOf(pageURL string) int
-	// ArchivePath returns the RCS archive path for a page URL.
-	ArchivePath(pageURL string) string
-	// EntityPath returns the entity-snapshot sidecar path for a page URL.
-	EntityPath(pageURL string) string
-	// UserPath returns the control-file path for a user.
-	UserPath(user string) string
-	// NoteURL persists the name→URL reverse mapping for pages whose
-	// archive name had to be hashed (a ",url" sidecar); it is a no-op
-	// for names that already decode back to their URL.
-	NoteURL(pageURL string) error
-	// ArchivedURLs lists every URL with an archive, sorted.
-	ArchivedURLs() ([]string, error)
-	// ShardURLs lists the archived URLs of one shard, sorted.
-	ShardURLs(shard int) ([]string, error)
-	// Files enumerates every repository file: repo files (archives,
-	// entity and url sidecars) sorted by name, then user control files
-	// sorted by name — the export order.
-	Files() ([]StoredFile, error)
-	// ShardFiles enumerates one shard's files in the same order.
-	ShardFiles(shard int) ([]StoredFile, error)
-	// Place returns the path where a file of the given kind and base
-	// name belongs, so imported and replicated files land in the right
-	// shard without the store needing the original URL.
-	Place(kind, name string) (string, error)
-	// ShardOfFile maps a file (by kind and base name) to the shard that
-	// owns it — the name-keyed counterpart of ShardOf, for repair paths
-	// that know a damaged file's name but not its URL.
-	ShardOfFile(kind, name string) (int, error)
-	// Remove deletes the file of the given kind and name (nil if absent).
-	Remove(kind, name string) error
-	// LockKey returns the per-URL mutual-exclusion key for a page,
-	// scoped to the shard that owns it.
-	LockKey(pageURL string) string
-	// Rebalance moves files that do not live in the shard the ring now
-	// assigns them — after adding shards, or when adopting a repository
-	// laid out flat — and reports how many moved.
-	Rebalance() (moved int, err error)
 }
 
 // --- naming -------------------------------------------------------------------
@@ -303,7 +250,12 @@ func fnv64(s string) uint64 {
 	return h.Sum64()
 }
 
+// newRing builds the ring for N shards. A one-shard ring has no points:
+// locate answers 0 without hashing.
 func newRing(shards int) *hashRing {
+	if shards <= 1 {
+		return &hashRing{}
+	}
 	r := &hashRing{points: make([]ringPoint, 0, shards*ringVnodes)}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < ringVnodes; v++ {
@@ -322,6 +274,9 @@ func newRing(shards int) *hashRing {
 // locate returns the shard owning key: the first ring point at or after
 // the key's hash, wrapping at the top.
 func (r *hashRing) locate(key string) int {
+	if len(r.points) == 0 {
+		return 0
+	}
 	h := fnv64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
@@ -330,145 +285,31 @@ func (r *hashRing) locate(key string) int {
 	return r.points[i].shard
 }
 
-// --- FlatStore -----------------------------------------------------------------
+// --- Store -------------------------------------------------------------------
 
-// FlatStore is the original single-directory layout: everything under
-// root/repo and root/users. It is what repositories created before
-// sharding look like, and remains the default.
-type FlatStore struct {
-	root string
-}
-
-// NewFlatStore creates (or reopens) the flat layout under dir.
-func NewFlatStore(dir string) (*FlatStore, error) {
-	for _, sub := range []string{"repo", "users", "locks"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, err
-		}
-	}
-	return &FlatStore{root: dir}, nil
-}
-
-func (s *FlatStore) Root() string               { return s.root }
-func (s *FlatStore) Shards() int                { return 1 }
-func (s *FlatStore) ShardOf(pageURL string) int { return 0 }
-
-func (s *FlatStore) repoDir() string { return filepath.Join(s.root, "repo") }
-
-func (s *FlatStore) ArchivePath(pageURL string) string {
-	if p, ok := legacyArchivePath(s.repoDir(), pageURL); ok {
-		return p
-	}
-	return filepath.Join(s.repoDir(), archiveBase(pageURL)+archiveSuffix)
-}
-
-func (s *FlatStore) EntityPath(pageURL string) string {
-	return filepath.Join(s.repoDir(), archiveBase(pageURL)+entitiesSuffix)
-}
-
-func (s *FlatStore) UserPath(user string) string {
-	return filepath.Join(s.root, "users", userBase(user)+userSuffix)
-}
-
-func (s *FlatStore) NoteURL(pageURL string) error {
-	return noteURLAt(s.repoDir(), pageURL)
-}
-
-func (s *FlatStore) ArchivedURLs() ([]string, error) {
-	urls, err := urlsInRepoDir(s.repoDir())
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(urls)
-	return urls, nil
-}
-
-func (s *FlatStore) ShardURLs(shard int) ([]string, error) {
-	if shard != 0 {
-		return nil, fmt.Errorf("snapshot: flat store has no shard %d", shard)
-	}
-	return s.ArchivedURLs()
-}
-
-func (s *FlatStore) Files() ([]StoredFile, error) {
-	return s.ShardFiles(0)
-}
-
-func (s *FlatStore) ShardFiles(shard int) ([]StoredFile, error) {
-	if shard != 0 {
-		return nil, fmt.Errorf("snapshot: flat store has no shard %d", shard)
-	}
-	repo, err := filesInDir(s.repoDir(), false, 0)
-	if err != nil {
-		return nil, err
-	}
-	users, err := filesInDir(filepath.Join(s.root, "users"), true, 0)
-	if err != nil {
-		return nil, err
-	}
-	sortFiles(repo)
-	sortFiles(users)
-	return append(repo, users...), nil
-}
-
-func (s *FlatStore) Place(kind, name string) (string, error) {
-	if err := checkPlaceName(kind, name); err != nil {
-		return "", err
-	}
-	if kind == KindUser {
-		return filepath.Join(s.root, "users", name), nil
-	}
-	return filepath.Join(s.repoDir(), name), nil
-}
-
-func (s *FlatStore) ShardOfFile(kind, name string) (int, error) {
-	if err := checkPlaceName(kind, name); err != nil {
-		return 0, err
-	}
-	return 0, nil
-}
-
-func (s *FlatStore) Remove(kind, name string) error {
-	p, err := s.Place(kind, name)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-func (s *FlatStore) LockKey(pageURL string) string { return "url:" + pageURL }
-
-// Rebalance is a no-op for the flat store: there is only one place for
-// anything to live.
-func (s *FlatStore) Rebalance() (int, error) { return 0, nil }
-
-// --- ShardedStore --------------------------------------------------------------
-
-// ShardedStore partitions the repository across N shard directories
-// (root/shard-000 ... shard-N-1, each with its own repo/ and users/)
-// by consistent hashing of file base names. Lock files stay shared at
-// root/locks — lock keys are already shard-scoped.
-type ShardedStore struct {
+// Store partitions the repository across N shard directories by
+// consistent hashing of file base names. Shard i's repo/ and users/
+// live in root/shard-NNN; a one-shard store's only shard is the root
+// itself, which is the original flat layout (root/repo, root/users).
+// Lock files stay shared at root/locks.
+type Store struct {
 	root   string
 	shards int
 	ring   *hashRing
 }
 
-// NewShardedStore creates (or reopens) an N-shard layout under dir.
-// Opening a directory that holds a flat repository (or one laid out
-// with a different shard count) succeeds; run Rebalance to migrate the
+// NewStore creates (or reopens) an N-shard layout under dir; shards <= 1
+// means one shard, the flat layout. Opening a directory laid out with a
+// different shard count succeeds; run Rebalance to migrate the
 // misplaced files before serving.
-func NewShardedStore(dir string, shards int) (*ShardedStore, error) {
-	if shards < 2 {
-		return nil, fmt.Errorf("snapshot: sharded store needs >= 2 shards, got %d", shards)
+func NewStore(dir string, shards int) (*Store, error) {
+	if shards < 1 {
+		shards = 1
 	}
 	if err := os.MkdirAll(filepath.Join(dir, "locks"), 0o755); err != nil {
 		return nil, err
 	}
-	s := &ShardedStore{root: dir, shards: shards, ring: newRing(shards)}
+	s := &Store{root: dir, shards: shards, ring: newRing(shards)}
 	for i := 0; i < shards; i++ {
 		for _, sub := range []string{"repo", "users"} {
 			if err := os.MkdirAll(filepath.Join(s.shardDir(i), sub), 0o755); err != nil {
@@ -479,51 +320,69 @@ func NewShardedStore(dir string, shards int) (*ShardedStore, error) {
 	return s, nil
 }
 
-func (s *ShardedStore) Root() string { return s.root }
-func (s *ShardedStore) Shards() int  { return s.shards }
+// Root returns the store's top-level data directory.
+func (s *Store) Root() string { return s.root }
 
-func (s *ShardedStore) shardDir(i int) string {
+// Shards reports how many shards partition the store.
+func (s *Store) Shards() int { return s.shards }
+
+func (s *Store) shardDir(i int) string {
+	if s.shards == 1 {
+		return s.root
+	}
 	return filepath.Join(s.root, fmt.Sprintf("shard-%03d", i))
 }
 
-func (s *ShardedStore) repoDir(i int) string { return filepath.Join(s.shardDir(i), "repo") }
+func (s *Store) repoDir(i int) string { return filepath.Join(s.shardDir(i), "repo") }
 
-// ShardOf hashes the page's archive base name onto the ring, so the
-// shard assignment survives name overflow and matches Place.
-func (s *ShardedStore) ShardOf(pageURL string) int {
+// repoPath returns the path of a file in shard i's repo directory.
+func (s *Store) repoPath(i int, name string) string {
+	return filepath.Join(s.shardDir(i), "repo", name)
+}
+
+// ShardOf maps a page URL to the shard holding its archive. It hashes
+// the archive base name, so the assignment survives name overflow and
+// matches Place.
+func (s *Store) ShardOf(pageURL string) int {
 	return s.ring.locate(archiveBase(pageURL))
 }
 
-func (s *ShardedStore) ArchivePath(pageURL string) string {
+// ArchivePath returns the RCS archive path for a page URL.
+func (s *Store) ArchivePath(pageURL string) string {
 	base := archiveBase(pageURL)
-	if base != url.QueryEscape(pageURL) {
-		// Overflow names: a pre-fix repository may hold this URL under
-		// its full escaped name, which the ring places by that name.
+	if len(base) == maxNameLen-len(entitiesSuffix) {
+		// Possibly an overflow-hashed name (they fill the budget
+		// exactly): a pre-fix repository may hold this URL under its
+		// full escaped name, which the ring places by that name.
 		esc := url.QueryEscape(pageURL)
-		if len(esc)+len(archiveSuffix) <= maxNameLen {
-			if p, ok := legacyArchivePath(s.repoDir(s.ring.locate(esc)), pageURL); ok {
-				return p
-			}
+		if p, ok := legacyArchivePath(s.repoDir(s.ring.locate(esc)), pageURL); ok {
+			return p
 		}
 	}
-	return filepath.Join(s.repoDir(s.ring.locate(base)), base+archiveSuffix)
+	return s.repoPath(s.ring.locate(base), base+archiveSuffix)
 }
 
-func (s *ShardedStore) EntityPath(pageURL string) string {
+// EntityPath returns the entity-snapshot sidecar path for a page URL.
+func (s *Store) EntityPath(pageURL string) string {
 	base := archiveBase(pageURL)
-	return filepath.Join(s.repoDir(s.ring.locate(base)), base+entitiesSuffix)
+	return s.repoPath(s.ring.locate(base), base+entitiesSuffix)
 }
 
-func (s *ShardedStore) UserPath(user string) string {
+// UserPath returns the control-file path for a user.
+func (s *Store) UserPath(user string) string {
 	base := userBase(user)
 	return filepath.Join(s.shardDir(s.ring.locate(base)), "users", base+userSuffix)
 }
 
-func (s *ShardedStore) NoteURL(pageURL string) error {
+// NoteURL persists the name→URL reverse mapping for pages whose archive
+// name had to be hashed (a ",url" sidecar); it is a no-op for names
+// that already decode back to their URL.
+func (s *Store) NoteURL(pageURL string) error {
 	return noteURLAt(s.repoDir(s.ShardOf(pageURL)), pageURL)
 }
 
-func (s *ShardedStore) ArchivedURLs() ([]string, error) {
+// ArchivedURLs lists every URL with an archive, sorted.
+func (s *Store) ArchivedURLs() ([]string, error) {
 	var urls []string
 	for i := 0; i < s.shards; i++ {
 		us, err := urlsInRepoDir(s.repoDir(i))
@@ -536,9 +395,10 @@ func (s *ShardedStore) ArchivedURLs() ([]string, error) {
 	return urls, nil
 }
 
-func (s *ShardedStore) ShardURLs(shard int) ([]string, error) {
-	if shard < 0 || shard >= s.shards {
-		return nil, fmt.Errorf("snapshot: no shard %d (store has %d)", shard, s.shards)
+// ShardURLs lists the archived URLs of one shard, sorted.
+func (s *Store) ShardURLs(shard int) ([]string, error) {
+	if err := s.checkShard(shard); err != nil {
+		return nil, err
 	}
 	urls, err := urlsInRepoDir(s.repoDir(shard))
 	if err != nil {
@@ -548,21 +408,18 @@ func (s *ShardedStore) ShardURLs(shard int) ([]string, error) {
 	return urls, nil
 }
 
-// Files lists all shards' files merged into the flat store's order —
-// repo files sorted by name, then user files sorted by name — so an
-// export of a sharded store is byte-identical to the flat equivalent.
-func (s *ShardedStore) Files() ([]StoredFile, error) {
+// Files enumerates every repository file: repo files (archives, entity
+// and url sidecars) sorted by name, then user control files sorted by
+// name — the export order, so an export is byte-identical whatever the
+// shard count.
+func (s *Store) Files() ([]StoredFile, error) {
 	var repo, users []StoredFile
 	for i := 0; i < s.shards; i++ {
-		r, err := filesInDir(s.repoDir(i), false, i)
+		r, u, err := s.shardFiles(i)
 		if err != nil {
 			return nil, err
 		}
 		repo = append(repo, r...)
-		u, err := filesInDir(filepath.Join(s.shardDir(i), "users"), true, i)
-		if err != nil {
-			return nil, err
-		}
 		users = append(users, u...)
 	}
 	sortFiles(repo)
@@ -570,15 +427,12 @@ func (s *ShardedStore) Files() ([]StoredFile, error) {
 	return append(repo, users...), nil
 }
 
-func (s *ShardedStore) ShardFiles(shard int) ([]StoredFile, error) {
-	if shard < 0 || shard >= s.shards {
-		return nil, fmt.Errorf("snapshot: no shard %d (store has %d)", shard, s.shards)
-	}
-	repo, err := filesInDir(s.repoDir(shard), false, shard)
-	if err != nil {
+// ShardFiles enumerates one shard's files in the same order as Files.
+func (s *Store) ShardFiles(shard int) ([]StoredFile, error) {
+	if err := s.checkShard(shard); err != nil {
 		return nil, err
 	}
-	users, err := filesInDir(filepath.Join(s.shardDir(shard), "users"), true, shard)
+	repo, users, err := s.shardFiles(shard)
 	if err != nil {
 		return nil, err
 	}
@@ -587,22 +441,39 @@ func (s *ShardedStore) ShardFiles(shard int) ([]StoredFile, error) {
 	return append(repo, users...), nil
 }
 
-func (s *ShardedStore) Place(kind, name string) (string, error) {
-	if err := checkPlaceName(kind, name); err != nil {
+func (s *Store) shardFiles(shard int) (repo, users []StoredFile, err error) {
+	if repo, err = filesInDir(s.repoDir(shard), false, shard); err != nil {
+		return nil, nil, err
+	}
+	users, err = filesInDir(filepath.Join(s.shardDir(shard), "users"), true, shard)
+	return repo, users, err
+}
+
+func (s *Store) checkShard(shard int) error {
+	if shard < 0 || shard >= s.shards {
+		return fmt.Errorf("snapshot: no shard %d (store has %d)", shard, s.shards)
+	}
+	return nil
+}
+
+// Place returns the path where a file of the given kind and base name
+// belongs, so imported and replicated files land in the right shard
+// without the store needing the original URL.
+func (s *Store) Place(kind, name string) (string, error) {
+	shard, err := s.ShardOfFile(kind, name)
+	if err != nil {
 		return "", err
 	}
-	base, ok := baseOf(kind, name)
-	if !ok {
-		return "", fmt.Errorf("snapshot: %s file %q lacks its suffix", kind, name)
-	}
-	shard := s.ring.locate(base)
 	if kind == KindUser {
 		return filepath.Join(s.shardDir(shard), "users", name), nil
 	}
-	return filepath.Join(s.repoDir(shard), name), nil
+	return s.repoPath(shard, name), nil
 }
 
-func (s *ShardedStore) ShardOfFile(kind, name string) (int, error) {
+// ShardOfFile maps a file (by kind and base name) to the shard that
+// owns it — the name-keyed counterpart of ShardOf, for repair paths
+// that know a damaged file's name but not its URL.
+func (s *Store) ShardOfFile(kind, name string) (int, error) {
 	if err := checkPlaceName(kind, name); err != nil {
 		return 0, err
 	}
@@ -613,7 +484,8 @@ func (s *ShardedStore) ShardOfFile(kind, name string) (int, error) {
 	return s.ring.locate(base), nil
 }
 
-func (s *ShardedStore) Remove(kind, name string) error {
+// Remove deletes the file of the given kind and name (nil if absent).
+func (s *Store) Remove(kind, name string) error {
 	p, err := s.Place(kind, name)
 	if err != nil {
 		return err
@@ -624,73 +496,72 @@ func (s *ShardedStore) Remove(kind, name string) error {
 	return nil
 }
 
-func (s *ShardedStore) LockKey(pageURL string) string {
-	return fmt.Sprintf("shard:%03d:url:%s", s.ShardOf(pageURL), pageURL)
-}
+// LockKey returns the per-URL mutual-exclusion key for a page. A URL
+// lives in exactly one shard, so the URL alone is the key.
+func (s *Store) LockKey(pageURL string) string { return "url:" + pageURL }
 
-// Rebalance walks every shard directory present on disk — including a
-// legacy flat repo/ and users/ at the root, and shard dirs beyond the
-// current count — and moves each file to the location the ring assigns
-// its name. Adding a shard therefore migrates only the ~1/N of keys
-// whose arcs the new shard took over. Run it before serving; it does
-// not coordinate with concurrent check-ins.
-func (s *ShardedStore) Rebalance() (moved int, err error) {
-	type dirpair struct {
-		dir     string
-		userDir bool
-	}
-	var dirs []dirpair
-	// Legacy flat layout at the root.
-	dirs = append(dirs,
-		dirpair{filepath.Join(s.root, "repo"), false},
-		dirpair{filepath.Join(s.root, "users"), true})
-	// Every shard directory on disk, current count or not.
+// Rebalance walks every shard directory present on disk — the root's
+// repo/ and users/ and every shard-NNN, current count or not — and
+// moves each file to the location the ring assigns its name, then
+// drops the emptied directories no current shard uses. It serves every
+// shard-count change: flat to sharded, adding shards (only the ~1/N of
+// keys whose arcs the new shards took over move), and shrinking down to
+// one shard. Run it before serving; it does not coordinate with
+// concurrent check-ins.
+func (s *Store) Rebalance() (moved int, err error) {
 	globbed, err := filepath.Glob(filepath.Join(s.root, "shard-*"))
 	if err != nil {
 		return 0, err
 	}
 	sort.Strings(globbed)
-	for _, d := range globbed {
-		dirs = append(dirs,
-			dirpair{filepath.Join(d, "repo"), false},
-			dirpair{filepath.Join(d, "users"), true})
-	}
-	for _, dp := range dirs {
-		files, err := filesInDir(dp.dir, dp.userDir, -1)
-		if err != nil {
-			return moved, err
-		}
-		for _, f := range files {
-			want, err := s.Place(f.Kind, f.Name)
+	dirs := append([]string{s.root}, globbed...)
+	for _, d := range dirs {
+		for _, sub := range []string{"repo", "users"} {
+			files, err := filesInDir(filepath.Join(d, sub), sub == "users", -1)
 			if err != nil {
-				continue // unrecognised name: leave it where it is
+				return moved, err
 			}
-			if want == f.Path {
-				continue
+			for _, f := range files {
+				want, err := s.Place(f.Kind, f.Name)
+				if err != nil || want == f.Path {
+					continue // in place, or an unrecognised name: leave it
+				}
+				if err := os.Rename(f.Path, want); err != nil {
+					return moved, fmt.Errorf("snapshot: rebalance %s: %w", f.Name, err)
+				}
+				moved++
 			}
-			if err := os.Rename(f.Path, want); err != nil {
-				return moved, fmt.Errorf("snapshot: rebalance %s: %w", f.Name, err)
-			}
-			moved++
 		}
 	}
-	// A fully migrated legacy layout leaves empty flat dirs behind;
-	// drop them so the root reads as sharded (ignore non-empty).
-	os.Remove(filepath.Join(s.root, "repo"))
-	os.Remove(filepath.Join(s.root, "users"))
+	// Drop what the migration emptied (os.Remove leaves non-empty dirs),
+	// never the root itself or a directory a current shard lives in.
+	current := make(map[string]bool, s.shards)
+	for i := 0; i < s.shards; i++ {
+		current[s.shardDir(i)] = true
+	}
+	for _, d := range dirs {
+		if current[d] {
+			continue
+		}
+		os.Remove(filepath.Join(d, "repo"))
+		os.Remove(filepath.Join(d, "users"))
+		if d != s.root {
+			os.Remove(d)
+		}
+	}
 	return moved, nil
 }
 
 // --- shared helpers -----------------------------------------------------------
 
 // sortFiles orders files by base name, matching ReadDir's order within
-// a single directory so flat and sharded enumerations agree.
+// a single directory so enumerations agree whatever the shard count.
 func sortFiles(files []StoredFile) {
 	sort.Slice(files, func(i, j int) bool { return files[i].Name < files[j].Name })
 }
 
 // checkPlaceName rejects names that could escape the store's
-// directories (shared by Place on both stores and Import).
+// directories (shared by Place and Import).
 func checkPlaceName(kind, name string) error {
 	switch kind {
 	case KindArchive, KindEntities, KindURL, KindUser:

@@ -348,3 +348,66 @@ func TestSingleShardRepoOpensUnchanged(t *testing.T) {
 		t.Fatalf("flat repo dir missing after reopen: %v", err)
 	}
 }
+
+func TestRebalanceShrinkToOneShard(t *testing.T) {
+	dir := t.TempDir()
+	clock := simclock.New(time.Time{})
+	fac4, err := NewSharded(dir, 4, nil, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		u := fmt.Sprintf("http://h/shrink-%d", i)
+		if _, err := fac4.RememberContent(context.Background(), userA, u, fmt.Sprintf("content %d\n", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Reopen under -shards 1 and migrate everything back to the root.
+	fac1, err := NewSharded(dir, 1, nil, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fac1.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	urls, err := fac1.ArchivedURLs()
+	if err != nil || len(urls) != n {
+		t.Fatalf("%d of %d archives visible after shrinking to one shard (err %v)", len(urls), n, err)
+	}
+	for _, u := range urls {
+		if text, err := fac1.Checkout(u, ""); err != nil || !strings.HasPrefix(text, "content ") {
+			t.Fatalf("checkout %s after shrink = (%q,%v)", u, text, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "users", url.QueryEscape(userA)+".json")); err != nil {
+		t.Fatalf("user control file not back in root/users: %v", err)
+	}
+	if seen := fac1.UserURLs(userA); len(seen) != n {
+		t.Fatalf("user urls after shrink = %d, want %d", len(seen), n)
+	}
+}
+
+// BenchmarkStoreArchivePath measures the read path's name resolution:
+// one-shard stores skip the ring hash entirely.
+func BenchmarkStoreArchivePath(b *testing.B) {
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			fac, err := NewSharded(b.TempDir(), shards, nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st := fac.Store()
+			urls := make([]string, 64)
+			for i := range urls {
+				urls[i] = fmt.Sprintf("http://site-%d.example.com/dir/page-%d.html", i%7, i)
+			}
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				st.ArchivePath(urls[i%len(urls)])
+				i++
+			}
+		})
+	}
+}

@@ -32,10 +32,10 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 	if got := clock.Now().Sub(simclock.Epoch); got != 7*time.Second {
 		t.Errorf("pause = %v, want the advertised 7s", got)
 	}
-	if n := m.Counter("webclient.retries.retry-after").Value(); n != 1 {
+	if n := m.CounterVec("webclient.retries", "cause").With("retry-after").Value(); n != 1 {
 		t.Errorf("retry-after cause counter = %d, want 1", n)
 	}
-	if n := m.Counter("webclient.retries.status").Value(); n != 0 {
+	if n := m.CounterVec("webclient.retries", "cause").With("status").Value(); n != 0 {
 		t.Errorf("status cause counter = %d, want 0 (cause is retry-after)", n)
 	}
 }

@@ -166,8 +166,7 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (resp *Response, t
 				pause = max
 			}
 		}
-		m.Counter("webclient.retries").Inc()
-		m.Counter("webclient.retries." + cause).Inc()
+		m.CounterVec("webclient.retries", "cause").With(cause).Inc()
 		obs.Logger().Debug("webclient retry",
 			"url", req.URL, "attempt", attempt+1, "cause", cause, "backoff", pause)
 		if serr := simclock.Sleep(ctx, c.clock(), pause); serr != nil {

@@ -238,10 +238,9 @@ func TestRetryMetrics(t *testing.T) {
 	}
 	snap := c.Metrics.Snapshot()
 	want := map[string]int64{
-		"webclient.attempts":          3,
-		"webclient.retries":           2,
-		"webclient.retries.transport": 1,
-		"webclient.retries.status":    1,
+		"webclient.attempts":                   3,
+		`webclient.retries{cause="transport"}`: 1,
+		`webclient.retries{cause="status"}`:    1,
 	}
 	for name, n := range want {
 		if snap.Counters[name] != n {

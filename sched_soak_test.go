@@ -219,8 +219,8 @@ func TestChaosSchedulerSoak(t *testing.T) {
 	if n := run.reg.Counter("sched.deferred.breaker").Value(); n == 0 {
 		t.Error("sched.deferred.breaker = 0, want > 0 (flaky host trips its breaker)")
 	}
-	if n := run.reg.Counter("sched.polls.failed").Value(); n == 0 {
-		t.Error("sched.polls.failed = 0, want > 0 (flaky host's dark hours)")
+	if n := run.reg.CounterVec("sched.polls", "outcome").With("failed").Value(); n == 0 {
+		t.Error(`sched.polls{outcome="failed"} = 0, want > 0 (flaky host's dark hours)`)
 	}
 }
 
@@ -293,7 +293,7 @@ func TestSchedulerDebugEndpoint(t *testing.T) {
 		t.Fatalf("/debug/metrics = %d", code)
 	}
 	var names []string
-	for _, want := range []string{"sched.urls", "sched.queue_len", "sched.polls.changed"} {
+	for _, want := range []string{"sched.urls", "sched.queue_len", `sched.polls{outcome="changed"}`} {
 		if !containsMetric(body, want) {
 			names = append(names, want)
 		}
