@@ -91,6 +91,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -185,9 +186,13 @@ func main() {
 	fac.SetDiffCacheMax(*diffCacheMax)
 	fac.EnablePrewarm(*prewarm)
 	// Every boot rebalances: a no-op unless the shard count changed
-	// (grown or shrunk) since the repository was last served.
+	// (grown or shrunk) since the repository was last served. Copies
+	// found in two places are set aside, not lost, so serving goes on.
 	moved, err := fac.Rebalance()
-	if err != nil {
+	var conflicts *snapshot.ConflictError
+	if errors.As(err, &conflicts) {
+		log.Printf("snapshotd: %v", err)
+	} else if err != nil {
 		log.Fatal("snapshotd: rebalance: ", err)
 	}
 	if moved > 0 {

@@ -80,14 +80,6 @@ func New(p Profile) *Injector {
 	return &Injector{profile: p, rng: rand.New(rand.NewSource(p.Seed))}
 }
 
-// SetProfile replaces the fault profile and reseeds the source.
-func (in *Injector) SetProfile(p Profile) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.profile = p
-	in.rng = rand.New(rand.NewSource(p.Seed))
-}
-
 // Injected reports how many operations had a fault injected.
 func (in *Injector) Injected() int64 {
 	if in == nil {

@@ -395,11 +395,6 @@ type TickStats struct {
 	Requeued int
 }
 
-// Polls returns Changed+Unchanged+Failed+Skipped (== Polled).
-func (ts TickStats) Polls() int {
-	return ts.Changed + ts.Unchanged + ts.Failed + ts.Skipped
-}
-
 // Tick pops every URL at or past due, enforces breaker and politeness
 // deferral per host, polls the survivors through Drain (hosts in
 // parallel up to Workers, URLs within a host serial), reschedules each,

@@ -132,15 +132,20 @@ func (f *Facility) ShardOf(pageURL string) int { return f.store.ShardOf(pageURL)
 // Rebalance migrates files the store's ring no longer places where they
 // sit (after a shard-count change, or adopting a flat repository). It
 // holds a store-wide lock against concurrent rebalances; run it before
-// serving traffic.
+// serving traffic. Conflicting copies are set aside, never overwritten,
+// and reported as a *ConflictError (see Store.Rebalance).
 func (f *Facility) Rebalance() (moved int, err error) {
 	unlock, err := f.locks.Lock("store:rebalance")
 	if err != nil {
 		return 0, err
 	}
 	defer unlock()
-	moved, err = f.store.Rebalance()
+	moved, err = f.store.Rebalance(f.quarantine)
 	f.metrics().Counter("shard.rebalance.moved").Add(int64(moved))
+	var conflicts *ConflictError
+	if errors.As(err, &conflicts) {
+		f.metrics().Counter("shard.rebalance.set_aside").Add(int64(len(conflicts.Paths)))
+	}
 	return moved, err
 }
 

@@ -21,6 +21,7 @@ package snapshot
 // overflow-hashed names whose URL is not recoverable from the name.
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"net/url"
@@ -508,13 +509,22 @@ func (s *Store) LockKey(pageURL string) string { return "url:" + pageURL }
 // keys whose arcs the new shards took over move), and shrinking down to
 // one shard. Run it before serving; it does not coordinate with
 // concurrent check-ins.
-func (s *Store) Rebalance() (moved int, err error) {
+//
+// Rebalance never overwrites. A file whose target already holds the
+// same bytes is a stale duplicate and is removed. A file whose target
+// holds different bytes — two histories of one page, written while the
+// repository was served at another shard count — is handed to setAside
+// (the facility quarantines it) and the target, the copy being served,
+// stays; after all moves Rebalance returns a *ConflictError naming
+// every copy set aside.
+func (s *Store) Rebalance(setAside func(path string) error) (moved int, err error) {
 	globbed, err := filepath.Glob(filepath.Join(s.root, "shard-*"))
 	if err != nil {
 		return 0, err
 	}
 	sort.Strings(globbed)
 	dirs := append([]string{s.root}, globbed...)
+	var conflicts []string
 	for _, d := range dirs {
 		for _, sub := range []string{"repo", "users"} {
 			files, err := filesInDir(filepath.Join(d, sub), sub == "users", -1)
@@ -526,7 +536,19 @@ func (s *Store) Rebalance() (moved int, err error) {
 				if err != nil || want == f.Path {
 					continue // in place, or an unrecognised name: leave it
 				}
-				if err := os.Rename(f.Path, want); err != nil {
+				same, err := sameContents(want, f.Path)
+				switch {
+				case os.IsNotExist(err):
+					err = os.Rename(f.Path, want)
+				case err == nil && same:
+					err = os.Remove(f.Path)
+				case err == nil:
+					if err = setAside(f.Path); err == nil {
+						conflicts = append(conflicts, f.Path)
+						continue
+					}
+				}
+				if err != nil {
 					return moved, fmt.Errorf("snapshot: rebalance %s: %w", f.Name, err)
 				}
 				moved++
@@ -549,7 +571,31 @@ func (s *Store) Rebalance() (moved int, err error) {
 			os.Remove(d)
 		}
 	}
+	if conflicts != nil {
+		return moved, &ConflictError{Paths: conflicts}
+	}
 	return moved, nil
+}
+
+// sameContents reports whether files a and b hold the same bytes.
+func sameContents(a, b string) (bool, error) {
+	x, err := os.ReadFile(a)
+	if err != nil {
+		return false, err
+	}
+	y, err := os.ReadFile(b)
+	return bytes.Equal(x, y), err
+}
+
+// ConflictError names the files Rebalance found at both their old and
+// their new location with different bytes; the old-location copies were
+// set aside, nothing was overwritten, so a caller may serve on and leave
+// merging the histories to an operator.
+type ConflictError struct{ Paths []string }
+
+func (e *ConflictError) Error() string {
+	return fmt.Sprintf("snapshot: rebalance set aside %d copies that differ from the served ones: %s",
+		len(e.Paths), strings.Join(e.Paths, ", "))
 }
 
 // --- shared helpers -----------------------------------------------------------

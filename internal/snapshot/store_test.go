@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
@@ -385,6 +386,83 @@ func TestRebalanceShrinkToOneShard(t *testing.T) {
 	}
 	if seen := fac1.UserURLs(userA); len(seen) != n {
 		t.Fatalf("user urls after shrink = %d, want %d", len(seen), n)
+	}
+}
+
+// TestRebalanceKeepsConflictingCopies covers a repository served at a
+// shard count whose layout did not match the files on disk: pages
+// remembered then got fresh archives and control files at the new
+// location, next to the older copies. Rebalance must keep both
+// histories, in either direction.
+func TestRebalanceKeepsConflictingCopies(t *testing.T) {
+	for _, tc := range []struct{ from, to int }{{4, 1}, {1, 4}} {
+		t.Run(fmt.Sprintf("%d-to-%d", tc.from, tc.to), func(t *testing.T) {
+			dir := t.TempDir()
+			clock := simclock.New(time.Time{})
+			const u, same = "http://h/conflict", "http://h/duplicate"
+			older, err := NewSharded(dir, tc.from, nil, clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, page := range []string{u, same} {
+				if _, err := older.RememberContent(context.Background(), userA, page, "old history\n"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Serve at the other count without rebalancing: u is
+			// remembered afresh at its new location, and an identical
+			// copy of same's archive appears there too.
+			newer, err := NewSharded(dir, tc.to, nil, clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := newer.RememberContent(context.Background(), userA, u, "new history\n"); err != nil {
+				t.Fatal(err)
+			}
+			oldSame := older.Store().ArchivePath(same)
+			data, err := os.ReadFile(oldSame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newSame := newer.Store().ArchivePath(same)
+			if err := os.MkdirAll(filepath.Dir(newSame), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(newSame, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			_, err = newer.Rebalance()
+			var conflicts *ConflictError
+			if !errors.As(err, &conflicts) {
+				t.Fatalf("rebalance err = %v, want a *ConflictError", err)
+			}
+			// The archive and the user's control file conflict; the
+			// identical duplicate does not.
+			if len(conflicts.Paths) != 2 {
+				t.Fatalf("set aside %v, want u's archive and userA's control file", conflicts.Paths)
+			}
+			if text, err := newer.Checkout(u, ""); err != nil || text != "new history\n" {
+				t.Fatalf("served copy = (%q,%v), want the new history", text, err)
+			}
+			aside, _ := filepath.Glob(filepath.Join(dir, "quarantine", filepath.Base(older.Store().ArchivePath(u))+".*"))
+			if len(aside) != 1 {
+				t.Fatalf("quarantined archives %v, want one", aside)
+			}
+			if text, err := rcs.Open(aside[0], clock).Checkout(""); err != nil || text != "old history\n" {
+				t.Fatalf("set-aside copy = (%q,%v), want the old history", text, err)
+			}
+			if text, err := newer.Checkout(same, ""); err != nil || text != "old history\n" {
+				t.Fatalf("duplicate checkout = (%q,%v)", text, err)
+			}
+			if _, err := os.Stat(oldSame); !os.IsNotExist(err) {
+				t.Fatalf("identical duplicate %s not removed: %v", oldSame, err)
+			}
+			// A second boot finds nothing left to move or set aside.
+			if moved, err := newer.Rebalance(); err != nil || moved != 0 {
+				t.Fatalf("second rebalance = (%d,%v)", moved, err)
+			}
+		})
 	}
 }
 

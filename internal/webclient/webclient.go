@@ -302,30 +302,12 @@ func (c *Client) Post(ctx context.Context, url, form string) (PageInfo, error) {
 	return info, nil
 }
 
-// PostBody submits an arbitrary request entity with an explicit content
-// type and returns the response — the transfer path the snapshot
-// replicator uses to push shard deltas.
-func (c *Client) PostBody(ctx context.Context, url, contentType, body string) (PageInfo, error) {
-	info, err := c.do(ctx, Request{
-		Method:      "POST",
-		URL:         url,
-		Body:        body,
-		ContentType: contentType,
-	})
-	if err != nil {
-		return info, err
-	}
-	info.HasBody = true
-	info.Checksum = ChecksumBody(info.Body)
-	return info, nil
-}
-
 // PostReader submits a request entity streamed from a reader. getBody
 // is invoked once per wire attempt (retries and redirect hops replay
 // the body), so it must return a fresh reader positioned at the start
-// each time. Unlike PostBody the entity is never buffered into a
-// string by this layer — multi-megabyte shard pushes flow straight
-// from the producer to the socket.
+// each time. The entity is never buffered into a string by this layer:
+// multi-megabyte shard pushes flow straight from the producer to the
+// socket.
 func (c *Client) PostReader(ctx context.Context, url, contentType string, getBody func() (io.Reader, error)) (PageInfo, error) {
 	info, err := c.do(ctx, Request{
 		Method:      "POST",
