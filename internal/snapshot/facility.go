@@ -142,10 +142,6 @@ func (f *Facility) Rebalance() (moved int, err error) {
 	defer unlock()
 	moved, err = f.store.Rebalance(f.quarantine)
 	f.metrics().Counter("shard.rebalance.moved").Add(int64(moved))
-	var conflicts *ConflictError
-	if errors.As(err, &conflicts) {
-		f.metrics().Counter("shard.rebalance.set_aside").Add(int64(len(conflicts.Paths)))
-	}
 	return moved, err
 }
 
