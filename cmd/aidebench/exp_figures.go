@@ -108,7 +108,7 @@ func expFig1(ctx context.Context, outDir string) error {
 
 	results := tr.Run(ctx, entries)
 	for _, r := range results {
-		fmt.Printf("      %-45s %-14s via %s\n", r.Entry.Title, r.Status, r.Via)
+		fmt.Printf("      %-45s %-14s via %s\n", r.Entry.Title, tracker.Label(r.Status), r.Via)
 	}
 	sum := tracker.Summary(results)
 	fmt.Printf("    summary: %d changed, %d unchanged, %d not checked, %d excluded, %d errors\n",

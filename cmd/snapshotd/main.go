@@ -53,11 +53,11 @@
 // the checksums recorded at write time, quarantines damaged files,
 // and restores them from replicas.
 //
-// -sched replaces the lockstep sweep loop with the continuous adaptive
-// scheduler (internal/sched): every tracked URL carries its own
-// next-due time, adapted between -sched-min and -sched-max by its
-// observed change rate, with -host-rps bounding the request rate per
-// host. Scheduler state (change-rate estimates and due times) persists
+// -sched replaces the lockstep sweeps with the continuous adaptive
+// scheduler (internal/sched), in the same loop (sched.Repeat): every
+// tracked URL carries its own next-due time, adapted between
+// -sched-min and -sched-max by its observed change rate, with
+// -host-rps bounding the request rate per host. Scheduler state (change-rate estimates and due times) persists
 // in sched-state.json under -data, and the main listener gains
 // /debug/sched. Without -sched, -sweep-jitter desynchronises the batch
 // sweep's (shard, host) lanes by a deterministic per-lane phase offset.
@@ -110,6 +110,7 @@ import (
 	"aide/internal/obs"
 	"aide/internal/robots"
 	"aide/internal/sched"
+	"aide/internal/simclock"
 	"aide/internal/snapshot"
 	"aide/internal/w3config"
 	"aide/internal/webclient"
@@ -238,9 +239,12 @@ func main() {
 		log.Printf("snapshotd: %d fixed pages loaded", n)
 	}
 
+	// One loop polls: lockstep sweeps every -sweep, or the continuous
+	// scheduler's ticks with -sched.
+	var sc *sched.Scheduler
+	schedStatePath := filepath.Join(*dataDir, "sched-state.json")
 	if *schedMode {
-		schedStatePath := filepath.Join(*dataDir, "sched-state.json")
-		sc, err := srv.StartSchedulerFromState(sched.Config{
+		sc, err = srv.StartSchedulerFromState(sched.Config{
 			MinInterval:  *schedMin,
 			MaxInterval:  *schedMax,
 			HostRPS:      *hostRPS,
@@ -251,47 +255,44 @@ func main() {
 		if err != nil {
 			log.Printf("snapshotd: scheduler state: %v (starting fresh)", err)
 		}
-		sc.OnTick = func(st sched.TickStats) {
-			if st.Polled == 0 && st.DeferredBreaker+st.DeferredPoliteness == 0 {
-				return
+		log.Printf("snapshotd: continuous scheduler on %d URLs (intervals %v..%v, %g req/s per host)",
+			sc.Len(), *schedMin, *schedMax, *hostRPS)
+	}
+	step := func() (time.Duration, bool) {
+		wait := *sweep
+		if sc == nil {
+			stats := srv.TrackAll(ctx)
+			log.Printf("snapshotd: sweep: %d distinct, %d checked, %d skipped, %d new versions, %d errors (%d degraded), %d discovered, %d canceled",
+				stats.Distinct, stats.Checked, stats.Skipped, stats.NewVersions, stats.Errors, stats.Degraded, stats.Discovered, stats.Canceled)
+		} else {
+			st := sc.Tick(ctx)
+			wait = sc.Wait()
+			if !st.Productive() {
+				return wait, true
 			}
 			log.Printf("snapshotd: sched tick: due=%d polled=%d changed=%d failed=%d deferred=%d queue=%d",
-				st.Due, st.Polled, st.Changed, st.Failed,
+				st.Due, st.Polled, st.Outcomes[sched.Changed], st.Outcomes[sched.Failed],
 				st.DeferredBreaker+st.DeferredPoliteness, st.Queue)
-			if err := srv.SaveState(statePath); err != nil {
-				log.Printf("snapshotd: saving state: %v", err)
-			}
 			if err := sc.SaveState(schedStatePath); err != nil {
 				log.Printf("snapshotd: saving scheduler state: %v", err)
 			}
 		}
+		if err := srv.SaveState(statePath); err != nil {
+			log.Printf("snapshotd: saving state: %v", err)
+		}
+		return wait, true
+	}
+	if sc != nil || *sweep > 0 {
 		go func() {
-			if err := sc.Run(ctx); err != nil && err != context.Canceled {
-				log.Printf("snapshotd: scheduler: %v", err)
+			sched.Repeat(ctx, simclock.Wall{}, step)
+			if sc == nil {
+				log.Print("snapshotd: sweep loop stopped")
+				return
 			}
 			if err := sc.SaveState(schedStatePath); err != nil {
 				log.Printf("snapshotd: saving scheduler state: %v", err)
 			}
 			log.Print("snapshotd: scheduler stopped")
-		}()
-		log.Printf("snapshotd: continuous scheduler on %d URLs (intervals %v..%v, %g req/s per host)",
-			sc.Len(), *schedMin, *schedMax, *hostRPS)
-	} else if *sweep > 0 {
-		go func() {
-			for {
-				stats := srv.TrackAll(ctx)
-				log.Printf("snapshotd: sweep: %d distinct, %d checked, %d skipped, %d new versions, %d errors (%d degraded), %d discovered, %d canceled",
-					stats.Distinct, stats.Checked, stats.Skipped, stats.NewVersions, stats.Errors, stats.Degraded, stats.Discovered, stats.Canceled)
-				if err := srv.SaveState(statePath); err != nil {
-					log.Printf("snapshotd: saving state: %v", err)
-				}
-				select {
-				case <-time.After(*sweep):
-				case <-ctx.Done():
-					log.Print("snapshotd: sweep loop stopped")
-					return
-				}
-			}
 		}()
 	}
 

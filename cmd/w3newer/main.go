@@ -25,22 +25,28 @@
 //
 // With -every, w3newer runs as its own periodic daemon instead of
 // relying on cron: a pass every interval, regenerating the report each
-// time (-passes bounds the count; 0 means forever). An interrupt
-// (SIGINT/SIGTERM) cancels the run's context: in-flight checks stop,
-// the remaining entries are reported as canceled, state is saved, and
-// the pass's partial report is still written.
+// time. With -daemon, a continuous scheduler (internal/sched) replaces
+// lockstep passes: every hotlist URL gets its own next-due time,
+// adapted to its observed change rate between -sched-min and
+// -sched-max (Table 1 thresholds stay as floors), hosts are polled
+// politely at -host-rps, and hosts whose circuit breaker is open are
+// deferred. Both are one loop (sched.Repeat) of rounds: a round is one
+// pass, or one scheduler tick that polled or deferred something, and
+// each round saves state, regenerates the report and prints the
+// metrics line. -passes bounds the rounds (0 means forever).
 //
-// With -daemon, w3newer abandons lockstep passes entirely: a continuous
-// scheduler (internal/sched) gives every hotlist URL its own next-due
-// time, adapted to its observed change rate between -sched-min and
-// -sched-max (Table 1 thresholds stay as floors), polls hosts politely
-// at -host-rps, and defers hosts whose circuit breaker is open. The
-// report is regenerated and state saved after every tick that polled
-// something; -passes bounds the number of such ticks. Scheduler state
+// The report always judges a page against the user's last visit. The
+// scheduler learns from what each poll observed against the previous
+// poll (tracker.Result.Observed), so a change the user has not seen
+// stays in the report however often it is polled. Scheduler state
 // (rate estimates, next-due times) persists in <state>.sched, and the
-// per-tick metrics line includes the sched.* queue and deferral
-// counters. -phase-jitter spreads host starts of batch passes (-every
-// mode) by a deterministic per-host offset.
+// -daemon metrics line includes the sched.* queue and deferral
+// counters. -phase-jitter spreads host starts of batch passes by a
+// deterministic per-host offset.
+//
+// An interrupt (SIGINT/SIGTERM) cancels the run's context: in-flight
+// checks stop, the remaining entries are reported as canceled, state is
+// saved, and the round's partial report is still written.
 package main
 
 import (
@@ -60,6 +66,7 @@ import (
 	"aide/internal/obs"
 	"aide/internal/robots"
 	"aide/internal/sched"
+	"aide/internal/simclock"
 	"aide/internal/tracker"
 	"aide/internal/w3config"
 	"aide/internal/webclient"
@@ -144,7 +151,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	hist, err := loadHistory(*historyPath, entries)
+	hist, err := loadHistory(*historyPath)
 	if err != nil {
 		return fail(err)
 	}
@@ -204,200 +211,118 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		opts.Score = prio.Score
 	}
 
+	// One round is one batch pass, or one productive scheduler tick with
+	// -daemon; sched.Repeat runs the rounds until -passes, the end of a
+	// single pass, or an interrupt.
+	var sc *sched.Scheduler
+	var polled map[string]tracker.Result // -daemon: latest result per URL
+	var polledMu sync.Mutex
 	if *daemon {
-		return runDaemon(ctx, daemonParams{
-			tr: tr, hist: hist, entries: entries, cfg: cfg, client: client,
-			opts: opts, statePath: *statePath, out: *out, passes: *passes,
-			min: *schedMin, max: *schedMax, rps: *hostRPS, workers: *workers,
-			seed: *jitterSeed, breakerCooldown: *breakerCooldown,
-			debugMux: debugMux, stdout: stdout, stderr: stderr,
+		sc = sched.New(sched.Config{
+			MinInterval: *schedMin, MaxInterval: *schedMax, HostRPS: *hostRPS,
+			Workers: *workers, Seed: *jitterSeed, BreakerDefer: *breakerCooldown,
 		})
+		sc.Breakers = client.Breakers
+		sc.Floor = func(u string) (time.Duration, bool) {
+			th := cfg.ThresholdFor(u)
+			return th.Every, th.Never
+		}
+		entryByURL := make(map[string]hotlist.Entry, len(entries))
+		polled = make(map[string]tracker.Result, len(entries))
+		// The scheduler learns from what each poll observed against the
+		// previous poll; the report keeps judging against the user's
+		// last visit, so an unseen change stays reported.
+		sc.Poll = func(ctx context.Context, url string) sched.Outcome {
+			r := tr.CheckEntry(ctx, entryByURL[url])
+			polledMu.Lock()
+			polled[url] = r
+			polledMu.Unlock()
+			return r.Observed
+		}
+		if *statePath != "" {
+			if err := sc.LoadState(*statePath + ".sched"); err != nil {
+				fmt.Fprintln(stderr, "w3newer: warning:", err)
+			}
+		}
+		for _, e := range entries {
+			if _, dup := entryByURL[e.URL]; !dup {
+				entryByURL[e.URL] = e
+				sc.Add(e.URL)
+			}
+		}
+		if debugMux != nil {
+			debugMux.Handle("/debug/sched", sc.DebugHandler())
+		}
+		fmt.Fprintf(stderr, "w3newer: daemon: scheduling %d URLs (min %v, max %v, %.3g req/s per host)\n",
+			sc.Len(), *schedMin, *schedMax, *hostRPS)
 	}
 
-	// onePass runs a check cycle and emits the report.
-	onePass := func() int {
-		passCtx, cancel := ctx, context.CancelFunc(func() {})
-		if *deadline > 0 {
-			passCtx, cancel = context.WithTimeout(ctx, *deadline)
+	rounds, code := 0, 0
+	step := func() (time.Duration, bool) {
+		var results []tracker.Result
+		wait := *every
+		if sc == nil {
+			passCtx, cancel := ctx, context.CancelFunc(func() {})
+			if *deadline > 0 {
+				passCtx, cancel = context.WithTimeout(ctx, *deadline)
+			}
+			results = tr.Run(passCtx, entries)
+			cancel()
+		} else {
+			st := sc.Tick(ctx)
+			wait = sc.Wait()
+			if !st.Productive() {
+				return wait, true
+			}
+			polledMu.Lock()
+			for _, e := range entries {
+				if r, ok := polled[e.URL]; ok {
+					r.Entry = e
+					results = append(results, r)
+				}
+			}
+			polledMu.Unlock()
+			fmt.Fprintf(stderr, "w3newer: tick %d: due=%d polled=%d changed=%d deferred=%d queue=%d\n",
+				rounds+1, st.Due, st.Polled, st.Outcomes[sched.Changed],
+				st.DeferredBreaker+st.DeferredPoliteness, st.Queue)
 		}
-		results := tr.Run(passCtx, entries)
-		cancel()
+		rounds++
 		if *statePath != "" {
 			if err := tr.SaveState(*statePath); err != nil {
 				fmt.Fprintln(stderr, "w3newer: warning: saving state:", err)
 			}
+			if sc != nil {
+				if err := sc.SaveState(*statePath + ".sched"); err != nil {
+					fmt.Fprintln(stderr, "w3newer: warning: saving scheduler state:", err)
+				}
+			}
 		}
 		opts.Now = time.Now()
 		report := tracker.Report(results, opts)
-		// Cumulative counters across passes; the sweep summary (§3's
+		// Cumulative counters across rounds; the sweep summary (§3's
 		// per-run accounting) goes to stderr so the report stays clean.
 		fmt.Fprintf(stderr, "w3newer: metrics: %s\n",
-			obs.Default.SummaryLine("tracker.", "webclient.", "breaker.", "robots.", "proxycache."))
+			obs.Default.SummaryLine("sched.", "tracker.", "webclient.", "breaker.", "robots.", "proxycache."))
 		if *out == "" {
 			fmt.Fprint(stdout, report)
-			return 0
+		} else if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
+			code = fail(err)
+			return 0, false
+		} else {
+			sum := tracker.Summary(results)
+			fmt.Fprintf(stderr, "w3newer: %d changed, %d unchanged, %d not checked, %d errors -> %s\n",
+				sum[tracker.Changed], sum[tracker.Unchanged],
+				sum[tracker.NotChecked]+sum[tracker.Excluded], sum[tracker.Failed], *out)
 		}
-		if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-			return fail(err)
-		}
-		sum := tracker.Summary(results)
-		fmt.Fprintf(stderr, "w3newer: %d changed, %d unchanged, %d not checked, %d errors -> %s\n",
-			sum[tracker.Changed], sum[tracker.Unchanged],
-			sum[tracker.NotChecked]+sum[tracker.Excluded], sum[tracker.Failed], *out)
-		return 0
+		return wait, (sc != nil || *every > 0) && (*passes <= 0 || rounds < *passes)
 	}
-
-	if *every <= 0 {
-		return onePass()
+	if err := sched.Repeat(ctx, simclock.Wall{}, step); err != nil {
+		fmt.Fprintln(stderr, "w3newer: interrupted; exiting")
 	}
-	// Daemon mode: the paper ran w3newer from cron; -every builds the
-	// periodic behaviour in. The inter-pass sleep is interruptible so a
-	// signal stops the daemon promptly.
-	for pass := 1; ; pass++ {
-		if code := onePass(); code != 0 {
-			return code
-		}
-		if *passes > 0 && pass >= *passes {
-			return 0
-		}
-		select {
-		case <-time.After(*every):
-		case <-ctx.Done():
-			fmt.Fprintln(stderr, "w3newer: interrupted; exiting")
-			return 0
-		}
+	if sc != nil {
+		fmt.Fprintln(stderr, "w3newer: scheduler stopped")
 	}
-}
-
-// daemonParams carries run()'s wiring into the scheduler daemon.
-type daemonParams struct {
-	tr              *tracker.Tracker
-	hist            *hotlist.History
-	entries         []hotlist.Entry
-	cfg             *w3config.Config
-	client          *webclient.Client
-	opts            tracker.ReportOptions
-	statePath, out  string
-	passes          int
-	min, max        time.Duration
-	rps             float64
-	workers         int
-	seed            int64
-	breakerCooldown time.Duration
-	debugMux        *http.ServeMux
-	stdout, stderr  io.Writer
-}
-
-// runDaemon drives the hotlist through the continuous scheduler until
-// ctx ends or -passes productive ticks have run. Each productive tick
-// (one that polled at least one URL) regenerates the report, saves
-// tracker and scheduler state, and prints the metrics summary —
-// the moral equivalent of one batch pass, at adaptive cadence.
-func runDaemon(ctx context.Context, p daemonParams) int {
-	sc := sched.New(sched.Config{
-		MinInterval: p.min, MaxInterval: p.max, HostRPS: p.rps,
-		Workers: p.workers, Seed: p.seed, BreakerDefer: p.breakerCooldown,
-	})
-	sc.Breakers = p.client.Breakers
-	sc.Floor = func(u string) (time.Duration, bool) {
-		th := p.cfg.ThresholdFor(u)
-		return th.Every, th.Never
-	}
-	entryByURL := make(map[string]hotlist.Entry, len(p.entries))
-	results := make(map[string]tracker.Result, len(p.entries))
-	var resultsMu sync.Mutex
-	sc.Poll = func(ctx context.Context, url string) sched.Outcome {
-		e, ok := entryByURL[url]
-		if !ok {
-			e = hotlist.Entry{URL: url, Title: url}
-		}
-		r := p.tr.CheckEntry(ctx, e)
-		resultsMu.Lock()
-		results[url] = r
-		resultsMu.Unlock()
-		switch r.Status {
-		case tracker.Changed:
-			// Mark the page seen: the estimator measures changes per
-			// interval, so the next poll must ask "changed again?"
-			// rather than "still newer than the user's last visit?".
-			p.hist.Visit(url, time.Now())
-			return sched.Changed
-		case tracker.Unchanged:
-			return sched.Unchanged
-		case tracker.Failed:
-			return sched.Failed
-		default: // NotChecked, Excluded
-			return sched.Skipped
-		}
-	}
-
-	schedStatePath := ""
-	if p.statePath != "" {
-		schedStatePath = p.statePath + ".sched"
-		if err := sc.LoadState(schedStatePath); err != nil {
-			fmt.Fprintln(p.stderr, "w3newer: warning:", err)
-		}
-	}
-	for _, e := range p.entries {
-		if _, dup := entryByURL[e.URL]; dup {
-			continue
-		}
-		entryByURL[e.URL] = e
-		sc.Add(e.URL)
-	}
-	if p.debugMux != nil {
-		p.debugMux.Handle("/debug/sched", sc.DebugHandler())
-	}
-	fmt.Fprintf(p.stderr, "w3newer: daemon: scheduling %d URLs (min %v, max %v, %.3g req/s per host)\n",
-		sc.Len(), p.min, p.max, p.rps)
-
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	productive := 0
-	sc.OnTick = func(st sched.TickStats) {
-		if st.Polled == 0 && st.DeferredBreaker == 0 && st.DeferredPoliteness == 0 {
-			return
-		}
-		productive++
-		resultsMu.Lock()
-		rs := make([]tracker.Result, 0, len(results))
-		for _, e := range p.entries {
-			if r, ok := results[e.URL]; ok {
-				r.Entry = e
-				rs = append(rs, r)
-			}
-		}
-		resultsMu.Unlock()
-		p.opts.Now = time.Now()
-		report := tracker.Report(rs, p.opts)
-		if p.out == "" {
-			fmt.Fprint(p.stdout, report)
-		} else if err := os.WriteFile(p.out, []byte(report), 0o644); err != nil {
-			fmt.Fprintln(p.stderr, "w3newer: warning: writing report:", err)
-		}
-		if p.statePath != "" {
-			if err := p.tr.SaveState(p.statePath); err != nil {
-				fmt.Fprintln(p.stderr, "w3newer: warning: saving state:", err)
-			}
-			if err := sc.SaveState(schedStatePath); err != nil {
-				fmt.Fprintln(p.stderr, "w3newer: warning: saving scheduler state:", err)
-			}
-		}
-		fmt.Fprintf(p.stderr, "w3newer: tick %d: due=%d polled=%d changed=%d deferred=%d queue=%d\n",
-			productive, st.Due, st.Polled, st.Changed,
-			st.DeferredBreaker+st.DeferredPoliteness, st.Queue)
-		fmt.Fprintf(p.stderr, "w3newer: metrics: %s\n",
-			obs.Default.SummaryLine("sched.", "tracker.", "webclient.", "breaker.", "robots.", "proxycache."))
-		if p.passes > 0 && productive >= p.passes {
-			cancel()
-		}
-	}
-	if err := sc.Run(dctx); err != nil && err != context.Canceled {
-		fmt.Fprintln(p.stderr, "w3newer:", err)
-		return 1
-	}
-	fmt.Fprintln(p.stderr, "w3newer: scheduler stopped")
-	return 0
+	return code
 }
 
 func loadHotlist(path string) ([]hotlist.Entry, error) {
@@ -409,27 +334,19 @@ func loadHotlist(path string) ([]hotlist.Entry, error) {
 	return hotlist.Parse(f)
 }
 
-// loadHistory reads the browser history; bookmark-embedded LAST_VISIT
-// times supplement it (Netscape keeps them in the bookmark file).
-func loadHistory(path string, entries []hotlist.Entry) (*hotlist.History, error) {
-	hist := hotlist.NewHistory()
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		hist, err = hotlist.ParseHistory(f)
-		if err != nil {
-			return nil, err
-		}
+// loadHistory reads the browser history. The tracker itself takes a
+// bookmark's LAST_VISIT when it is later (Netscape keeps last-visit
+// times in the bookmark file).
+func loadHistory(path string) (*hotlist.History, error) {
+	if path == "" {
+		return hotlist.NewHistory(), nil
 	}
-	for _, e := range entries {
-		if !e.LastVisit.IsZero() {
-			hist.Visit(e.URL, e.LastVisit)
-		}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return hist, nil
+	defer f.Close()
+	return hotlist.ParseHistory(f)
 }
 
 func loadConfig(path string) (*w3config.Config, error) {

@@ -261,3 +261,44 @@ func TestCLIContinuousSchedulerDaemon(t *testing.T) {
 		t.Errorf("scheduler state not written: %v", err)
 	}
 }
+
+// TestCLIDaemonKeepsUnseenChange: a page modified after the user's last
+// visit stays reported as changed through every scheduler tick. The
+// scheduler learns from what each poll observed, not from the report's
+// verdict, so the daemon never marks the change as seen on the user's
+// behalf.
+func TestCLIDaemonKeepsUnseenChange(t *testing.T) {
+	r := newCLIRig(t)
+	page := r.web.Site("u.example").Page("/p")
+	page.Set("<P>before.</P>")
+	visit := r.web.Clock().Now()
+	r.web.Advance(time.Hour)
+	page.Set("<P>after the visit.</P>") // Last-Modified = visit + 1h
+	url := r.urlFor("u.example", "/p")
+	r.writeHotlist(t, map[string]string{url: "Page"})
+	r.writeHistory(t, map[string]time.Time{url: visit})
+	if err := os.WriteFile(r.config, []byte("Default 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outPath := filepath.Join(r.dir, "report.html")
+
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{
+		"-hotlist", r.hotlist, "-history", r.history, "-config", r.config,
+		"-o", outPath, "-daemon", "-sched-min", "20ms", "-sched-max", "20ms",
+		"-host-rps", "1000", "-passes", "3",
+	}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errb.String())
+	}
+	if got := strings.Count(errb.String(), "w3newer: tick "); got != 3 {
+		t.Errorf("tick lines = %d, want 3:\n%s", got, errb.String())
+	}
+	data, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "<B>Changed</B>") {
+		t.Errorf("final report lost the unseen change:\n%s", data)
+	}
+}

@@ -47,7 +47,7 @@ func main() {
 	tr := tracker.New(client, cfg, hist, clock)
 
 	results := tr.Run(context.Background(), entries)
-	fmt.Printf("day 0:  %s -> %s\n", results[0].Entry.Title, results[0].Status)
+	fmt.Printf("day 0:  %s -> %s\n", results[0].Entry.Title, tracker.Label(results[0].Status))
 
 	// --- 2. snapshot: remember the page --------------------------------
 	dataDir, err := os.MkdirTemp("", "aide-quickstart-*")
@@ -72,7 +72,7 @@ func main() {
 
 	results = tr.Run(context.Background(), entries)
 	fmt.Printf("day 35: %s -> %s (modified %s)\n",
-		results[0].Entry.Title, results[0].Status,
+		results[0].Entry.Title, tracker.Label(results[0].Status),
 		results[0].LastModified.Format("Jan 2 2006"))
 
 	// --- 4. HtmlDiff: see exactly what changed -------------------------

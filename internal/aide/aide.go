@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aide/internal/breaker"
@@ -100,6 +101,21 @@ func (s *SweepStats) merge(o SweepStats) {
 	s.Canceled += o.Canceled
 }
 
+// count folds one check's outcome into the sweep's counters: every
+// outcome but Skipped and Excluded means the URL was polled.
+func (s *SweepStats) count(out sched.Outcome) {
+	switch out {
+	case sched.Skipped, sched.Excluded:
+		s.Skipped++
+		return
+	case sched.Changed:
+		s.NewVersions++
+	case sched.Failed:
+		s.Errors++
+	}
+	s.Checked++
+}
+
 // Server is the AIDE server: registrations, the shared tracking state,
 // and the snapshot facility.
 type Server struct {
@@ -145,9 +161,10 @@ type Server struct {
 	users map[string][]Registration
 	urls  map[string]*urlState
 
-	// schedSt holds the attached continuous scheduler, if any; see
-	// sched.go.
-	schedSt schedState
+	// scheduler is the attached continuous scheduler, if any (see
+	// sched.go). It is kept apart from s.mu so registration paths can
+	// hand new URLs to it after releasing the server lock.
+	scheduler atomic.Pointer[sched.Scheduler]
 }
 
 // metrics returns the server's registry (obs.Default when unset).
@@ -270,7 +287,7 @@ func (s *Server) TrackAll(ctx context.Context) SweepStats {
 	unstarted := sched.Drain(ctx, s.Clock, width, s.PhaseJitter, s.JitterSeed, urls, s.laneKey,
 		func(ctx context.Context, url string) {
 			var one SweepStats
-			s.trackOne(ctx, url, &one)
+			one.count(s.trackOne(ctx, url, &one))
 			if shards > 1 {
 				swept.With(strconv.Itoa(s.Facility.ShardOf(url))).Add(int64(one.Checked))
 			}
@@ -321,8 +338,10 @@ func (s *Server) recordSweep(span *obs.Span, stats SweepStats, start time.Time) 
 
 // trackOne checks a single URL under ctx and updates its state and the
 // archive, traced as an "aide.check" span nesting the robots, fetch,
-// and check-in spans below it.
-func (s *Server) trackOne(ctx context.Context, url string, stats *SweepStats) {
+// and check-in spans below it. It returns the check's outcome (Changed
+// iff a new revision was archived); the sweep-only counts, Degraded and
+// Discovered, go to stats.
+func (s *Server) trackOne(ctx context.Context, url string, stats *SweepStats) sched.Outcome {
 	ctx, span := obs.StartSpan(ctx, "aide.check")
 	span.SetAttr("url", url)
 	defer span.End()
@@ -334,18 +353,15 @@ func (s *Server) trackOne(ctx context.Context, url string, stats *SweepStats) {
 	recursive := st.recursive
 	s.mu.Unlock()
 	if skip {
-		stats.Skipped++
-		return
+		return sched.Skipped
 	}
 	if s.Robots != nil && !s.Robots.Allowed(ctx, url) {
-		stats.Skipped++
 		s.mu.Lock()
 		st.lastChecked = now
 		s.mu.Unlock()
-		return
+		return sched.Excluded
 	}
 
-	stats.Checked++
 	var info webclient.PageInfo
 	var err error
 	if s.Forms != nil && formreg.IsFormURL(url) {
@@ -363,15 +379,13 @@ func (s *Server) trackOne(ctx context.Context, url string, stats *SweepStats) {
 	if err != nil {
 		st.errCount++
 		st.lastErr = err
-		degraded := !st.lastMod.IsZero() || st.checksum != ""
-		s.mu.Unlock()
-		stats.Errors++
-		if degraded {
+		if !st.lastMod.IsZero() || st.checksum != "" {
 			// Earlier sweeps left a modification date or checksum: the
 			// URL's answer is stale rather than gone.
 			stats.Degraded++
 		}
-		return
+		s.mu.Unlock()
+		return sched.Failed
 	}
 	st.errCount = 0
 	st.lastErr = nil
@@ -388,36 +402,37 @@ func (s *Server) trackOne(ctx context.Context, url string, stats *SweepStats) {
 	s.mu.Unlock()
 
 	if !changed {
-		return
+		return sched.Unchanged
 	}
 	body := info.Body
 	if !info.HasBody {
 		full, err := s.Client.Get(ctx, url)
 		if err != nil {
-			stats.Errors++
 			s.mu.Lock()
 			st.errCount++
 			st.lastErr = err
 			s.mu.Unlock()
-			return
+			return sched.Failed
 		}
 		body = full.Body
 	}
-	res, err := s.Facility.RememberContent(ctx, "", url, body)
-	if err != nil {
-		stats.Errors++
-		return
-	}
-	if res.Changed {
-		stats.NewVersions++
-		s.mu.Lock()
-		st.lastNewRev = res.Rev
-		st.lastNewTime = now
-		s.mu.Unlock()
+	// Through the per-URL lock, so a sweep and a user's /remember of
+	// the same page never both commit one revision number.
+	res, errs := s.Facility.CheckinBatch(ctx, "", []snapshot.BatchItem{{URL: url, Body: body}})
+	if errs[0] != nil {
+		return sched.Failed
 	}
 	if recursive {
 		stats.Discovered += s.discoverLinks(url, body)
 	}
+	if !res[0].Changed {
+		return sched.Unchanged
+	}
+	s.mu.Lock()
+	st.lastNewRev = res[0].Rev
+	st.lastNewTime = now
+	s.mu.Unlock()
+	return sched.Changed
 }
 
 // discoverLinks adds a recursive root's same-host links to the tracked
@@ -496,16 +511,11 @@ func (s *Server) ReportFor(user string) []UserRow {
 }
 
 // MarkSeen records that the user has now seen the head revision of url
-// (the user followed the Diff link and caught up). Checking the head
-// text in again is a no-op for the archive but updates the user's
-// control file.
+// (the user followed the Diff link and caught up). Only the user's
+// control file changes; the archive is not touched, so a sweep
+// revision landing meanwhile is never reverted.
 func (s *Server) MarkSeen(ctx context.Context, user, url string) error {
-	text, err := s.Facility.Checkout(url, "")
-	if err != nil {
-		return err
-	}
-	_, err = s.Facility.RememberContent(ctx, user, url, text)
-	return err
+	return s.Facility.MarkSeen(user, url, "")
 }
 
 // FixedChange is one entry of the community "What's New" page.

@@ -2,7 +2,6 @@ package aide
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"aide/internal/sched"
@@ -12,29 +11,18 @@ import (
 // scheduler (internal/sched). A scheduled server stops doing lockstep
 // TrackAll sweeps: every tracked URL carries its own next-due time,
 // adapted to its observed change rate, and the scheduler drains due
-// URLs through the same trackOne path a sweep would use. TrackAll
-// remains available as a one-shot ("check everything now") operation.
-
-// schedState is the server's scheduler attachment, guarded separately
-// from s.mu so registration paths can hand new URLs to the scheduler
-// after releasing the server lock (lock order: s.mu before schedMu,
-// never both held across a scheduler call that polls).
-type schedState struct {
-	mu sync.Mutex
-	sc *sched.Scheduler
-}
-
-func (ss *schedState) get() *sched.Scheduler {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.sc
-}
+// URLs through trackOne, the same per-URL check a sweep makes, whose
+// sched.Outcome (Changed iff a new revision was archived) feeds the
+// estimator directly. TrackAll remains available as a one-shot ("check
+// everything now") operation; snapshotd runs either through
+// sched.Repeat.
 
 // StartScheduler builds a continuous scheduler over the server's
 // tracked URL set and attaches it: every currently tracked URL is
 // scheduled, and URLs added later (Register, AddFixed, recursive
 // discovery) join the schedule as they appear. The caller owns the
-// returned scheduler's lifecycle — typically `go sc.Run(ctx)`.
+// returned scheduler's lifecycle — typically a sched.Repeat loop of
+// Tick and Wait.
 // Calling StartScheduler again replaces the attachment.
 func (s *Server) StartScheduler(cfg sched.Config) *sched.Scheduler {
 	sc, _ := s.StartSchedulerFromState(cfg, "")
@@ -53,7 +41,9 @@ func (s *Server) StartSchedulerFromState(cfg sched.Config, statePath string) (*s
 	if s.Client != nil {
 		sc.Breakers = s.Client.Breakers
 	}
-	sc.Poll = s.pollOne
+	sc.Poll = func(ctx context.Context, url string) sched.Outcome {
+		return s.trackOne(ctx, url, new(SweepStats))
+	}
 	sc.Floor = func(url string) (time.Duration, bool) {
 		th := s.Config.ThresholdFor(url)
 		return th.Every, th.Never
@@ -62,9 +52,7 @@ func (s *Server) StartSchedulerFromState(cfg sched.Config, statePath string) (*s
 	if statePath != "" {
 		loadErr = sc.LoadState(statePath)
 	}
-	s.schedSt.mu.Lock()
-	s.schedSt.sc = sc
-	s.schedSt.mu.Unlock()
+	s.scheduler.Store(sc)
 	for _, u := range s.trackedURLs() {
 		sc.Add(u)
 	}
@@ -73,30 +61,13 @@ func (s *Server) StartSchedulerFromState(cfg sched.Config, statePath string) (*s
 
 // Scheduler returns the attached scheduler, or nil when the server
 // runs in batch-sweep mode.
-func (s *Server) Scheduler() *sched.Scheduler { return s.schedSt.get() }
+func (s *Server) Scheduler() *sched.Scheduler { return s.scheduler.Load() }
 
 // schedAdd hands a newly tracked URL to the scheduler, if one is
 // attached. Callers must not hold s.mu (the scheduler takes its own
 // lock and may consult the threshold config).
 func (s *Server) schedAdd(url string) {
-	if sc := s.schedSt.get(); sc != nil {
+	if sc := s.scheduler.Load(); sc != nil {
 		sc.Add(url)
-	}
-}
-
-// pollOne is the scheduler's per-URL poll: the same decision procedure
-// as one sweep iteration, classified for the change-rate estimator.
-func (s *Server) pollOne(ctx context.Context, url string) sched.Outcome {
-	var stats SweepStats
-	s.trackOne(ctx, url, &stats)
-	switch {
-	case stats.NewVersions > 0:
-		return sched.Changed
-	case stats.Errors > 0:
-		return sched.Failed
-	case stats.Skipped > 0 || stats.Canceled > 0:
-		return sched.Skipped
-	default:
-		return sched.Unchanged
 	}
 }

@@ -7,34 +7,44 @@
 // point; the sync makes the data durable before the name flips.
 package fsatomic
 
-import "os"
+import (
+	"io"
+	"os"
+)
 
-// WriteFile atomically replaces path with data: the bytes are written
-// to path+".tmp", fsynced, and renamed over path. On any error the
-// temporary file is removed and the original file (if any) is left
-// untouched. The containing directory is fsynced best-effort after the
-// rename so the new directory entry itself survives a crash.
+// WriteFile atomically replaces path with data; see WriteFunc.
 func WriteFile(path string, data []byte, perm os.FileMode) error {
+	return WriteFunc(path, perm, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteFunc atomically replaces path with whatever write streams into
+// its writer: the bytes go to path+".tmp" (created with perm, before
+// umask), are fsynced, and the temp file is renamed over path. On any
+// error, write's included, the temporary file is removed and the
+// original file (if any) is left untouched. The containing directory
+// is fsynced best-effort after the rename so the new directory entry
+// itself survives a crash. Concurrent writers of one path share the
+// temp name, so the caller serialises them.
+func WriteFunc(path string, perm os.FileMode, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -1,6 +1,8 @@
 package fsatomic
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -62,5 +64,28 @@ func TestWriteFileErrorLeavesOriginal(t *testing.T) {
 	got, _ := os.ReadFile(existing)
 	if string(got) != "original" {
 		t.Errorf("original clobbered: %q", got)
+	}
+}
+
+func TestWriteFuncFailingWriteLeavesOriginal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "archive,v")
+	if err := WriteFile(path, []byte("original"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteFunc(path, 0o644, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "half a new"); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the write's error", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "original" {
+		t.Errorf("original clobbered: %q", got)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temp file left behind: stat err = %v", err)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -36,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"aide/internal/fsatomic"
 	"aide/internal/obs"
 	"aide/internal/simclock"
 	"aide/internal/textdiff"
@@ -618,34 +620,19 @@ func (a *Archive) loadShared() (f *archiveFile, cached bool, err error) {
 	return f, false, nil
 }
 
-// store atomically rewrites the archive file and refreshes the cache.
+// store atomically rewrites the archive file (mode 0644, like every
+// other repository file) and refreshes the cache. fsatomic makes the
+// archive and its directory entry durable before the check-in returns.
 func (a *Archive) store(f *archiveFile) error {
 	if err := os.MkdirAll(filepath.Dir(a.path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(a.path), ".rcs-*")
+	err := fsatomic.WriteFunc(a.path, 0o644, func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 1<<16)
+		writeArchive(bw, f)
+		return bw.Flush()
+	})
 	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	writeArchive(bw, f)
-	werr := bw.Flush()
-	if werr == nil {
-		// Make the archive durable before the rename flips the name to
-		// it: a crash just after the rename must not leave the archive
-		// pointing at unwritten data.
-		werr = tmp.Sync()
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmpName)
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmpName, a.path); err != nil {
 		return err
 	}
 	if fi, err := os.Stat(a.path); err == nil {

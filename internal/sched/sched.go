@@ -25,6 +25,12 @@
 //     graceful drain on cancellation (undrained URLs are requeued, never
 //     lost). w3newer passes and AIDE server sweeps run through it too.
 //
+// Two shared pieces sit around it. Outcome is the one per-check
+// vocabulary, from w3newer's report to the estimator. Repeat is the one
+// run loop: w3newer's -every passes and -daemon ticks and snapshotd's
+// -sweep and -sched loops are each a step function handed to it, with
+// Wait giving a scheduler's sleep until its next due time.
+//
 // Time comes from an injected simclock.Clock, and all randomness is
 // derived from FNV-1a hashes of (seed, URL), so a simulated run is
 // deterministic: same seed, same web, same schedule, byte for byte.
@@ -41,38 +47,48 @@ import (
 	"aide/internal/simclock"
 )
 
-// Outcome classifies one poll of one URL, as reported by the Poll
-// callback. The estimator only learns from Changed and Unchanged;
-// Failed and Skipped reschedule without touching the change rate.
+// Outcome classifies one check of one URL, in report order. It is the
+// one per-check vocabulary: w3newer's report verdict, the AIDE server's
+// sweep counts and the scheduler's Poll callback all use it. The
+// estimator only learns from Changed and Unchanged; Skipped, Excluded
+// and Failed reschedule without touching the change rate.
 type Outcome int
 
-// Poll outcomes.
+// Check outcomes.
 const (
-	// Unchanged: the page was fetched (or HEAD-checked) and had not
-	// changed since the last poll.
-	Unchanged Outcome = iota
 	// Changed: the page had a new version.
-	Changed
+	Changed Outcome = iota
+	// Unchanged: the page was fetched (or HEAD-checked) and had not
+	// changed.
+	Unchanged
+	// Skipped: the check was skipped (threshold not elapsed, host
+	// error, canceled).
+	Skipped
+	// Excluded: robots.txt forbids automated retrieval.
+	Excluded
 	// Failed: the check errored (transport failure, breaker trip, …).
 	Failed
-	// Skipped: the check was skipped (threshold not elapsed, canceled).
-	Skipped
 )
 
 // String names the outcome as metrics and /debug/sched show it.
 func (o Outcome) String() string {
 	switch o {
-	case Unchanged:
-		return "unchanged"
 	case Changed:
 		return "changed"
-	case Failed:
-		return "failed"
+	case Unchanged:
+		return "unchanged"
 	case Skipped:
 		return "skipped"
+	case Excluded:
+		return "excluded"
+	case Failed:
+		return "failed"
 	}
 	return "unknown"
 }
+
+// Counts tallies outcomes, indexed by Outcome.
+type Counts [Failed + 1]int
 
 // Config tunes a Scheduler. The zero value gets workable defaults.
 type Config struct {
@@ -100,7 +116,7 @@ type Config struct {
 	// BreakerDefer is how long a URL is pushed back when its host's
 	// breaker is not ready (default 1m, matching the breaker cooldown).
 	BreakerDefer time.Duration
-	// IdleWait is how long Run sleeps when the queue is empty
+	// IdleWait is what Wait returns when the queue is empty
 	// (default 1s).
 	IdleWait time.Duration
 }
@@ -237,9 +253,6 @@ type Scheduler struct {
 	// the adapted interval never drops below it, and never==true keeps
 	// the URL out of the schedule entirely.
 	Floor func(url string) (every time.Duration, never bool)
-	// OnTick, when set, observes each completed tick (Run only calls it
-	// after ticks; manual Tick callers may read the return instead).
-	OnTick func(TickStats)
 
 	cfg     Config
 	cfgOnce sync.Once
@@ -377,14 +390,12 @@ func (s *Scheduler) NextDue() (time.Time, bool) {
 
 // TickStats summarises one Tick.
 type TickStats struct {
-	// Time is the clock reading the tick ran at.
-	Time time.Time
 	// Due is how many URLs had come due.
 	Due int
 	// Polled is how many of them were actually checked.
 	Polled int
-	// Changed/Unchanged/Failed/Skipped break Polled down by outcome.
-	Changed, Unchanged, Failed, Skipped int
+	// Outcomes breaks Polled down by outcome.
+	Outcomes Counts
 	// DeferredBreaker counts URLs pushed back because their host's
 	// breaker was not ready; DeferredPoliteness counts URLs pushed back
 	// by the per-host rate limit.
@@ -393,6 +404,11 @@ type TickStats struct {
 	Queue int
 	// Requeued counts due URLs put back unpolled on cancellation.
 	Requeued int
+}
+
+// Productive reports whether the tick polled or deferred anything.
+func (st TickStats) Productive() bool {
+	return st.Polled > 0 || st.DeferredBreaker > 0 || st.DeferredPoliteness > 0
 }
 
 // Tick pops every URL at or past due, enforces breaker and politeness
@@ -406,7 +422,7 @@ func (s *Scheduler) Tick(ctx context.Context) TickStats {
 	clock := s.clock()
 	m := s.metrics()
 	now := clock.Now()
-	st := TickStats{Time: now}
+	var st TickStats
 
 	// Pop everything due, preserving (due, seq) order.
 	s.mu.Lock()
@@ -461,16 +477,7 @@ func (s *Scheduler) Tick(ctx context.Context) TickStats {
 			s.reschedule(it, out, clock.Now())
 			resm.Lock()
 			st.Polled++
-			switch out {
-			case Changed:
-				st.Changed++
-			case Unchanged:
-				st.Unchanged++
-			case Failed:
-				st.Failed++
-			case Skipped:
-				st.Skipped++
-			}
+			st.Outcomes[out]++
 			resm.Unlock()
 			polls.With(out.String()).Inc()
 		})
@@ -512,9 +519,9 @@ func (s *Scheduler) reschedule(it *item, out Outcome, pollTime time.Time) {
 	case Failed:
 		// No change-rate information; the breaker handles dead hosts.
 		// Keep the interval as is.
-	case Skipped:
-		// Threshold not yet elapsed or canceled: try again one floor
-		// interval from now without learning anything.
+	case Skipped, Excluded:
+		// Threshold not yet elapsed, canceled or robot-excluded: try
+		// again one floor interval from now without learning anything.
 		if it.floor > 0 {
 			it.interval = maxDur(it.interval, it.floor)
 		}
@@ -535,29 +542,32 @@ func (s *Scheduler) reschedule(it *item, out Outcome, pollTime time.Time) {
 	s.metrics().Histogram("sched.interval_seconds", IntervalBuckets).Observe(it.interval.Seconds())
 }
 
-// Run ticks the scheduler until ctx is canceled, sleeping on the clock
-// until the next due time between ticks. On a simulated clock the sleep
-// advances the clock, so Run compresses simulated days into
-// microseconds; deterministic tests should instead drive Tick directly.
-func (s *Scheduler) Run(ctx context.Context) error {
-	s.init(Config{})
-	clock := s.clock()
+// Wait returns how long to sleep before the next URL comes due: the
+// idle wait when the schedule is empty, and a brief yield when
+// deferred items are already due, so a wall-clock loop cannot spin.
+func (s *Scheduler) Wait() time.Duration {
+	next, ok := s.NextDue()
+	if !ok {
+		return s.cfg.idleWait()
+	}
+	if wait := next.Sub(s.clock().Now()); wait > 0 {
+		return wait
+	}
+	return 10 * time.Millisecond
+}
+
+// Repeat is the one polling loop: it calls step, sleeps on clock for
+// the wait step returns, and repeats until step reports more == false
+// (Repeat returns nil) or ctx ends (Repeat returns ctx's error). The
+// first step always runs, even under a done ctx, so a pass cut short
+// still gets to write its partial results. On a simulated clock the
+// sleep advances the clock, compressing simulated days into
+// microseconds.
+func Repeat(ctx context.Context, clock simclock.Clock, step func() (wait time.Duration, more bool)) error {
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st := s.Tick(ctx)
-		if s.OnTick != nil {
-			s.OnTick(st)
-		}
-		wait := s.cfg.idleWait()
-		if next, ok := s.NextDue(); ok {
-			wait = next.Sub(clock.Now())
-			if wait <= 0 {
-				// Deferred items can be due immediately; yield briefly so
-				// a wall-clock loop cannot spin.
-				wait = 10 * time.Millisecond
-			}
+		wait, more := step()
+		if !more {
+			return nil
 		}
 		if err := simclock.Sleep(ctx, clock, wait); err != nil {
 			return err

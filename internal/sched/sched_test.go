@@ -333,7 +333,7 @@ func TestRemoveMidSchedule(t *testing.T) {
 }
 
 func TestRunDrainsOnCancel(t *testing.T) {
-	// Run on the wall clock with tiny intervals; cancel stops it.
+	// Repeat on the wall clock with tiny intervals; cancel stops it.
 	cfg := Config{MinInterval: 5 * time.Millisecond, MaxInterval: 20 * time.Millisecond,
 		HostRPS: 1000, HostBurst: 10, IdleWait: 5 * time.Millisecond}
 	s := New(cfg)
@@ -347,18 +347,16 @@ func TestRunDrainsOnCancel(t *testing.T) {
 		mu.Unlock()
 		return Changed
 	}
-	ticks := make(chan TickStats, 64)
-	s.OnTick = func(st TickStats) {
-		select {
-		case ticks <- st:
-		default:
-		}
-	}
 	s.Add("http://w.example/a")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- s.Run(ctx) }()
+	go func() {
+		done <- Repeat(ctx, s.Clock, func() (time.Duration, bool) {
+			s.Tick(ctx)
+			return s.Wait(), true
+		})
+	}()
 
 	deadline := time.After(2 * time.Second)
 	for {
@@ -370,7 +368,7 @@ func TestRunDrainsOnCancel(t *testing.T) {
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("Run polled only %d times in 2s", n)
+			t.Fatalf("Repeat polled only %d times in 2s", n)
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -378,10 +376,10 @@ func TestRunDrainsOnCancel(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != context.Canceled {
-			t.Errorf("Run returned %v, want context.Canceled", err)
+			t.Errorf("Repeat returned %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not return after cancel")
+		t.Fatal("Repeat did not return after cancel")
 	}
 }
 

@@ -369,8 +369,9 @@ func (f *Facility) prepareDiff(pageURL, oldRev, newRev string) (*htmldiff.Prepar
 // inserts the result into the cache (guarded by the coherence stamp
 // captured before the archive was read).
 type DiffStream struct {
-	// DiffResult carries OldRev/NewRev/Stats/Cached; HTML stays empty —
-	// the bytes go to Render's writer.
+	// DiffResult carries OldRev/NewRev/Stats/Cached. HTML is the cached
+	// page on a cache hit and empty otherwise; either way Render writes
+	// the bytes.
 	DiffResult
 	// Render writes the page. It returns the first write error; the
 	// comparison itself cannot fail once the stream is handed out.
@@ -386,7 +387,7 @@ func (f *Facility) DiffRevsStream(pageURL, oldRev, newRev string) (*DiffStream, 
 	if html, ok := f.diffCache.get(key); ok {
 		m.Counter("snapshot.diffcache.hits").Inc()
 		return &DiffStream{
-			DiffResult: DiffResult{OldRev: oldRev, NewRev: newRev, Cached: true},
+			DiffResult: DiffResult{HTML: html, OldRev: oldRev, NewRev: newRev, Cached: true},
 			Render: func(w io.Writer) error {
 				return writeStringChunks(w, html)
 			},

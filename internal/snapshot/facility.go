@@ -185,10 +185,12 @@ func (f *Facility) Remember(ctx context.Context, user, pageURL string) (Remember
 	return f.RememberContent(ctx, user, pageURL, info.Body)
 }
 
-// RememberContent checks in content supplied by the caller (used by the
-// fixed-page archiver and by tests to avoid a second fetch); ctx bounds
-// the entity-checksum fetches that a changed check-in may trigger. The
-// per-URL lock must not already be held by this goroutine.
+// RememberContent checks in content supplied by the caller; ctx bounds
+// the entity-checksum fetches that a changed check-in may trigger. It
+// takes no lock: the caller serialises check-ins of one URL, as
+// Remember and CheckinBatch do by holding the per-URL lock. Two
+// unserialised check-ins of one page can both commit the same revision
+// number, so concurrent callers go through CheckinBatch.
 func (f *Facility) RememberContent(ctx context.Context, user, pageURL, body string) (RememberResult, error) {
 	ctx, span := obs.StartSpan(ctx, "snapshot.checkin")
 	span.SetAttr("url", pageURL)
@@ -324,6 +326,9 @@ func (f *Facility) DiffRevs(pageURL, oldRev, newRev string) (DiffResult, error) 
 	ds, err := f.DiffRevsStream(pageURL, oldRev, newRev)
 	if err != nil {
 		return DiffResult{}, err
+	}
+	if ds.Cached {
+		return ds.DiffResult, nil // the cached page, not a copy of it
 	}
 	return materialize(ds), nil
 }
@@ -576,6 +581,23 @@ func (f *Facility) markSeen(user, pageURL, rev string) error {
 	}
 	f.recordChecksum(KindUser, filepath.Base(f.userFile(user)), data)
 	return nil
+}
+
+// MarkSeen records in the user's control file that the user has seen
+// rev of pageURL ("" = the current head). The archive is not touched,
+// so a revision checked in meanwhile stays the head, unseen.
+func (f *Facility) MarkSeen(user, pageURL, rev string) error {
+	if rev == "" {
+		err := f.readArchive(pageURL, func(a *rcs.Archive) error {
+			var herr error
+			rev, herr = a.Head()
+			return herr
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return f.markSeen(user, pageURL, rev)
 }
 
 // seenVersions returns the user's version list for url (oldest first).

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aide/internal/breaker"
+	"aide/internal/sched"
 )
 
 // This file renders w3newer's HTML report (the paper's Figure 1): one
@@ -148,12 +149,27 @@ func aideLinks(r Result, opt ReportOptions) string {
 }
 
 // Summary tallies results by status, for logs and experiments.
-func Summary(results []Result) map[Status]int {
-	m := make(map[Status]int)
+func Summary(results []Result) sched.Counts {
+	var c sched.Counts
 	for _, r := range results {
-		m[r.Status]++
+		c[r.Status]++
 	}
-	return m
+	return c
+}
+
+// Label names a verdict in w3newer's words ("not checked",
+// "robot-excluded", "error"), as experiment listings and the
+// tracker.check span print it; metrics use the outcome's String.
+func Label(o sched.Outcome) string {
+	switch o {
+	case NotChecked:
+		return "not checked"
+	case Excluded:
+		return "robot-excluded"
+	case Failed:
+		return "error"
+	}
+	return o.String()
 }
 
 // HostCounts is one host's sweep outcome, for the degradation report.

@@ -47,46 +47,36 @@ import (
 	"aide/internal/webclient"
 )
 
-// Status is the per-URL outcome of a run.
-type Status int
-
-// Statuses, in report order.
+// The verdicts of a run, in report order. They are sched.Outcome
+// values, so a report row, a sweep count and a scheduler poll speak one
+// vocabulary; Label gives the words the report prints.
 const (
 	// Changed: modified since the user last saw it.
-	Changed Status = iota
+	Changed = sched.Changed
 	// Unchanged: checked (or known) and already seen by the user.
-	Unchanged
+	Unchanged = sched.Unchanged
 	// NotChecked: skipped this run (threshold, host error, or "never").
-	NotChecked
+	NotChecked = sched.Skipped
 	// Excluded: robots.txt forbids automated retrieval.
-	Excluded
+	Excluded = sched.Excluded
 	// Failed: the check errored; see Err.
-	Failed
+	Failed = sched.Failed
 )
-
-// String names the status as the report shows it.
-func (s Status) String() string {
-	switch s {
-	case Changed:
-		return "changed"
-	case Unchanged:
-		return "unchanged"
-	case NotChecked:
-		return "not checked"
-	case Excluded:
-		return "robot-excluded"
-	case Failed:
-		return "error"
-	}
-	return "unknown"
-}
 
 // Result is one row of a run's outcome.
 type Result struct {
 	// Entry is the hotlist item.
 	Entry hotlist.Entry
-	// Status is the verdict.
-	Status Status
+	// Status is the report's verdict: changed or not since the user's
+	// last visit.
+	Status sched.Outcome
+	// Observed is what this check saw against the URL's previous check,
+	// whatever the user has seen: Changed when the modification date or
+	// checksum differs from the state held before (or nothing was held),
+	// Unchanged when it matches, Skipped when the verdict came from a
+	// cache with no fresh check, otherwise equal to Status. The change-rate
+	// estimator learns from Observed.
+	Observed sched.Outcome
 	// LastModified is the page's modification time, when known.
 	LastModified time.Time
 	// LastVisited is the browser history's view, when known.
@@ -264,30 +254,6 @@ func (t *Tracker) markRobotExcluded(url string) {
 	t.stateLocked(url).RobotExcluded = true
 }
 
-// hostErrs tracks hosts that have failed during a run, for the
-// skip-host-after-error policy. It is safe for concurrent use.
-type hostErrs struct {
-	mu sync.Mutex
-	m  map[string]bool
-}
-
-func newHostErrs() *hostErrs { return &hostErrs{m: make(map[string]bool)} }
-
-func (h *hostErrs) bad(host string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.m[host]
-}
-
-func (h *hostErrs) markBad(host string) {
-	if host == "" {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.m[host] = true
-}
-
 // Run checks every hotlist entry and returns one result per entry, in
 // hotlist order. Entries naming the same URL share one check: per-URL
 // state is not designed for two simultaneous checks of the same page,
@@ -309,7 +275,7 @@ func (t *Tracker) Run(ctx context.Context, entries []hotlist.Entry) []Result {
 	start := t.Clock.Now()
 	ctx, span := obs.StartSpan(ctx, "tracker.sweep")
 	span.SetAttr("entries", strconv.Itoa(len(entries)))
-	badHosts := newHostErrs()
+	badHosts := new(sync.Map) // hosts known bad this run
 	results := make([]Result, len(entries))
 	first := make(map[string]int, len(entries))
 	var order []int // indexes of the first occurrence of each URL
@@ -349,11 +315,10 @@ func (t *Tracker) recordSweep(span *obs.Span, results []Result, start time.Time)
 	m.Counter("tracker.sweeps").Inc()
 	m.Histogram("tracker.sweep.duration", nil).ObserveDuration(dur)
 	sum := Summary(results)
-	m.Counter("tracker.checks.changed").Add(int64(sum[Changed]))
-	m.Counter("tracker.checks.unchanged").Add(int64(sum[Unchanged]))
-	m.Counter("tracker.checks.notchecked").Add(int64(sum[NotChecked]))
-	m.Counter("tracker.checks.excluded").Add(int64(sum[Excluded]))
-	m.Counter("tracker.checks.failed").Add(int64(sum[Failed]))
+	checks := m.CounterVec("tracker.checks", "outcome")
+	for o, n := range sum {
+		checks.With(sched.Outcome(o).String()).Add(int64(n))
+	}
 	var degraded, skipped int
 	for _, r := range results {
 		if r.Status == Failed && r.Stale {
@@ -377,22 +342,17 @@ func (t *Tracker) recordSweep(span *obs.Span, results []Result, start time.Time)
 // canceledResult marks one entry as unvisited because the run's context
 // ended first.
 func canceledResult(e hotlist.Entry) Result {
-	return Result{Entry: e, Status: NotChecked, Via: "canceled"}
+	return Result{Entry: e, Status: NotChecked, Observed: sched.Skipped, Via: "canceled"}
 }
 
-// noteFailure records a host-level failure for skip-host logic.
-func (t *Tracker) noteFailure(r Result, badHosts *hostErrs) {
-	if r.Status != Failed {
-		return
-	}
-	switch {
-	case r.ErrKind == webclient.Tripped:
-		// The host's circuit breaker is open: nothing else will get
-		// through this run, so skip its remaining URLs regardless of the
-		// SkipHostAfterError policy.
-		badHosts.markBad(breaker.HostKey(r.Entry.URL))
-	case t.Opt.SkipHostAfterError && r.ErrKind == webclient.Transient:
-		badHosts.markBad(breaker.HostKey(r.Entry.URL))
+// noteFailure records a host-level failure for skip-host logic. A
+// tripped circuit breaker lets nothing else through this run, so its
+// host's remaining URLs are skipped regardless of SkipHostAfterError.
+func (t *Tracker) noteFailure(r Result, badHosts *sync.Map) {
+	host := breaker.HostKey(r.Entry.URL)
+	if r.Status == Failed && host != "" &&
+		(r.ErrKind == webclient.Tripped || t.Opt.SkipHostAfterError && r.ErrKind == webclient.Transient) {
+		badHosts.Store(host, true)
 	}
 }
 
@@ -403,27 +363,29 @@ func (t *Tracker) noteFailure(r Result, badHosts *hostErrs) {
 // host-level isolation is the caller's job (the scheduler consults the
 // circuit breakers instead).
 func (t *Tracker) CheckEntry(ctx context.Context, e hotlist.Entry) Result {
-	return t.checkOne(ctx, e, newHostErrs())
+	return t.checkOne(ctx, e, new(sync.Map))
 }
 
 // checkOne applies the §3 decision procedure to one URL under ctx,
 // traced as a "tracker.check" span nesting whatever robots.txt and
 // fetch work the decision needs.
-func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *hostErrs) (r Result) {
+func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *sync.Map) (r Result) {
 	ctx, span := obs.StartSpan(ctx, "tracker.check")
 	span.SetAttr("url", e.URL)
 	defer func() {
-		span.SetAttr("status", r.Status.String())
+		span.SetAttr("status", Label(r.Status))
 		span.SetAttr("via", r.Via)
 		span.End()
 	}()
 	now := t.Clock.Now()
-	r = Result{Entry: e}
+	// Until a fresh check says otherwise, this check observed nothing.
+	r = Result{Entry: e, Observed: sched.Skipped}
 	st := t.stateSnapshot(e.URL)
 
 	lastVisited, visited := t.History.LastVisited(e.URL)
-	if !visited && !e.LastVisit.IsZero() {
-		// Netscape keeps last-visit in the bookmark file itself.
+	if e.LastVisit.After(lastVisited) {
+		// Netscape keeps last-visit in the bookmark file itself; the
+		// later of it and the history's visit counts.
 		lastVisited, visited = e.LastVisit, true
 	}
 	r.LastVisited = lastVisited
@@ -438,13 +400,13 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *hostE
 	// Cached robot exclusion short-circuits everything (§3.1: "that fact
 	// is cached so the page is not accessed again").
 	if st.RobotExcluded && !t.Opt.IgnoreRobots {
-		r.Status = Excluded
+		r.Status, r.Observed = Excluded, Excluded
 		r.Via = "state-cache"
 		return r
 	}
 
 	// Host already known bad this run?
-	if badHosts.bad(breaker.HostKey(e.URL)) {
+	if _, bad := badHosts.Load(breaker.HostKey(e.URL)); bad {
 		r.Status = NotChecked
 		r.Via = "host-error"
 		return r
@@ -456,7 +418,7 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *hostE
 	// whole check: whatever modification date it holds is current.
 	if !isFile && t.Opt.TrustOracle && t.Proxy != nil {
 		if mod, _, ok := t.Proxy.ModInfo(e.URL); ok {
-			t.recordSuccess(e.URL, mod, "", now)
+			r.Observed = t.recordSuccess(e.URL, mod, "", now)
 			return t.verdict(r, mod, lastVisited, visited, "proxy")
 		}
 	}
@@ -487,7 +449,7 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *hostE
 	// a check.
 	if !isFile && t.Proxy != nil {
 		if mod, cachedAt, ok := t.Proxy.ModInfo(e.URL); ok && th.Every > 0 && now.Sub(cachedAt) < th.Every {
-			t.recordSuccess(e.URL, mod, "", now)
+			r.Observed = t.recordSuccess(e.URL, mod, "", now)
 			return t.verdict(r, mod, lastVisited, visited, "proxy")
 		}
 	}
@@ -507,7 +469,7 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *hostE
 	// Robot exclusion protocol, before touching the page itself.
 	if !isFile && t.Robots != nil && !t.Opt.IgnoreRobots && !t.Robots.Allowed(ctx, e.URL) {
 		t.markRobotExcluded(e.URL)
-		r.Status = Excluded
+		r.Status, r.Observed = Excluded, Excluded
 		r.Via = "robots.txt"
 		return r
 	}
@@ -527,20 +489,10 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *hostE
 			// canceled rather than failed, and don't charge it an error.
 			return canceledResult(e)
 		}
-		r.Status = Failed
-		r.Via = "HEAD"
-		r.Err = err
-		r.ErrKind = webclient.Classify(0, err)
-		r.ErrCount = t.recordFailure(e.URL, t.Opt.TreatErrorsAsChecked, now)
-		return t.degrade(r, st)
+		return t.fail(r, st, err, webclient.Classify(0, err), now)
 	}
 	if kind := webclient.Classify(info.Status, nil); kind != webclient.OK {
-		r.Status = Failed
-		r.Via = "HEAD"
-		r.Err = fmt.Errorf("HTTP status %d", info.Status)
-		r.ErrKind = kind
-		r.ErrCount = t.recordFailure(e.URL, t.Opt.TreatErrorsAsChecked, now)
-		return t.degrade(r, st)
+		return t.fail(r, st, fmt.Errorf("HTTP status %d", info.Status), kind, now)
 	}
 
 	via := "HEAD"
@@ -556,30 +508,32 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *hostE
 	if !info.HasLastModified {
 		// Checksum strategy: no Last-Modified available.
 		via = "GET+checksum"
-		changed := st.Checksum != "" && st.Checksum != info.Checksum
-		firstSight := st.Checksum == ""
-		t.recordSuccess(e.URL, time.Time{}, info.Checksum, now)
-		switch {
-		case firstSight && visited:
+		r.Observed = t.recordSuccess(e.URL, time.Time{}, info.Checksum, now)
+		r.Status = r.Observed
+		if st.Checksum == "" && visited {
 			// First checksum; assume the visit saw this content.
 			r.Status = Unchanged
-		case firstSight, changed:
-			r.Status = Changed
+		}
+		if r.Status == Changed {
 			r.LastModified = now // best effort: changed by now
-		default:
-			r.Status = Unchanged
 		}
 		r.Via = via
 		return r
 	}
-	t.recordSuccess(e.URL, mod, "", now)
+	r.Observed = t.recordSuccess(e.URL, mod, "", now)
 	return t.verdict(r, mod, lastVisited, visited, via)
 }
 
-// degrade fills a Failed result with the last-known-good answer from
-// the URL's state, marked Stale: a sweep under partial failure reports
-// what it last knew about the page instead of reporting nothing.
-func (t *Tracker) degrade(r Result, st State) Result {
+// fail fills a Failed result for a check that errored, charges the URL
+// the failure, and serves the last-known-good answer from its state,
+// marked Stale: a sweep under partial failure reports what it last knew
+// about the page instead of reporting nothing.
+func (t *Tracker) fail(r Result, st State, err error, kind webclient.ErrKind, now time.Time) Result {
+	r.Status, r.Observed = Failed, Failed
+	r.Via = "HEAD"
+	r.Err = err
+	r.ErrKind = kind
+	r.ErrCount = t.recordFailure(r.Entry.URL, t.Opt.TreatErrorsAsChecked, now)
 	if !st.LastModified.IsZero() || st.Checksum != "" {
 		r.LastModified = st.LastModified
 		r.Stale = true
@@ -618,11 +572,19 @@ func (t *Tracker) cachedModDate(st State, now time.Time) (time.Time, string, boo
 	return time.Time{}, "", false
 }
 
-// recordSuccess updates the per-URL state after a successful check.
-func (t *Tracker) recordSuccess(url string, mod time.Time, checksum string, now time.Time) {
+// recordSuccess updates the per-URL state after a successful check and
+// returns what the check observed: Unchanged when the checksum (or,
+// without one, the modification date) matches the state it replaces,
+// Changed otherwise, first sight included.
+func (t *Tracker) recordSuccess(url string, mod time.Time, checksum string, now time.Time) sched.Outcome {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := t.stateLocked(url)
+	seen := Changed
+	if checksum != "" && checksum == st.Checksum ||
+		checksum == "" && !st.LastModified.IsZero() && mod.Equal(st.LastModified) {
+		seen = Unchanged
+	}
 	if !mod.IsZero() {
 		st.LastModified = mod
 	}
@@ -631,6 +593,7 @@ func (t *Tracker) recordSuccess(url string, mod time.Time, checksum string, now 
 	}
 	st.CheckedAt = now
 	st.ErrCount = 0
+	return seen
 }
 
 // --- state persistence -------------------------------------------------------

@@ -82,13 +82,15 @@ func (w *Wiki) Edit(author, page, body string) (rev string, err error) {
 		return "", fmt.Errorf("wiki: %q is not a WikiWord page name", page)
 	}
 	// Wiki check-ins are local disk writes; entity tracking (the only
-	// thing RememberContent's ctx bounds) is never enabled on a wiki's
-	// facility, so Background is correct here.
-	res, err := w.fac.RememberContent(context.Background(), author, pageURL(page), body)
-	if err != nil {
-		return "", err
+	// thing a check-in's ctx bounds) is never enabled on a wiki's
+	// facility, so Background is correct here. The batch path holds the
+	// per-URL lock, so simultaneous saves get distinct revisions.
+	res, errs := w.fac.CheckinBatch(context.Background(), author,
+		[]snapshot.BatchItem{{URL: pageURL(page), Body: body}})
+	if errs[0] != nil {
+		return "", errs[0]
 	}
-	return res.Rev, nil
+	return res[0].Rev, nil
 }
 
 // EditFrom stores a new revision only if baseRev is still the head —
@@ -150,7 +152,7 @@ func (w *Wiki) Read(reader, page string) (body, rev string, err error) {
 	}
 	rev = revs[0].Num
 	if reader != "" {
-		if _, err := w.fac.RememberContent(context.Background(), reader, pageURL(page), body); err != nil {
+		if err := w.fac.MarkSeen(reader, pageURL(page), rev); err != nil {
 			return "", "", err
 		}
 	}
