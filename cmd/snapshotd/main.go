@@ -265,9 +265,9 @@ func main() {
 			log.Printf("snapshotd: sweep: %d distinct, %d checked, %d skipped, %d new versions, %d errors (%d degraded), %d discovered, %d canceled",
 				stats.Distinct, stats.Checked, stats.Skipped, stats.NewVersions, stats.Errors, stats.Degraded, stats.Discovered, stats.Canceled)
 		} else {
-			st := sc.Tick(ctx)
-			wait = sc.Wait()
-			if !st.Productive() {
+			var st sched.TickStats
+			st, wait = sc.Step(ctx)
+			if st.Due == 0 {
 				return wait, true
 			}
 			log.Printf("snapshotd: sched tick: due=%d polled=%d changed=%d failed=%d deferred=%d queue=%d",

@@ -31,14 +31,16 @@
 // -sched-max (Table 1 thresholds stay as floors), hosts are polled
 // politely at -host-rps, and hosts whose circuit breaker is open are
 // deferred. Both are one loop (sched.Repeat) of rounds: a round is one
-// pass, or one scheduler tick that polled or deferred something, and
-// each round saves state, regenerates the report and prints the
-// metrics line. -passes bounds the rounds (0 means forever).
+// pass, or one scheduler tick with URLs due, and each round saves
+// state, regenerates the report and prints the metrics line. -passes bounds the rounds (0 means forever).
 //
 // The report always judges a page against the user's last visit. The
 // scheduler learns from what each poll observed against the previous
 // poll (tracker.Result.Observed), so a change the user has not seen
-// stays in the report however often it is polled. Scheduler state
+// stays in the report however often it is polled. Every poll checks
+// the page itself (tracker.PollEntry): the Table 1 threshold spaces
+// polls as the schedule's floor instead of answering from the state
+// cache. Scheduler state
 // (rate estimates, next-due times) persists in <state>.sched, and the
 // -daemon metrics line includes the sched.* queue and deferral
 // counters. -phase-jitter spreads host starts of batch passes by a
@@ -211,9 +213,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		opts.Score = prio.Score
 	}
 
-	// One round is one batch pass, or one productive scheduler tick with
-	// -daemon; sched.Repeat runs the rounds until -passes, the end of a
-	// single pass, or an interrupt.
+	// One round is one batch pass or, with -daemon, one scheduler tick
+	// with URLs due; sched.Repeat runs the rounds until -passes, the
+	// end of a single pass, or an interrupt.
 	var sc *sched.Scheduler
 	var polled map[string]tracker.Result // -daemon: latest result per URL
 	var polledMu sync.Mutex
@@ -233,7 +235,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// previous poll; the report keeps judging against the user's
 		// last visit, so an unseen change stays reported.
 		sc.Poll = func(ctx context.Context, url string) sched.Outcome {
-			r := tr.CheckEntry(ctx, entryByURL[url])
+			r := tr.PollEntry(ctx, entryByURL[url])
 			polledMu.Lock()
 			polled[url] = r
 			polledMu.Unlock()
@@ -269,9 +271,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			results = tr.Run(passCtx, entries)
 			cancel()
 		} else {
-			st := sc.Tick(ctx)
-			wait = sc.Wait()
-			if !st.Productive() {
+			var st sched.TickStats
+			st, wait = sc.Step(ctx)
+			if st.Due == 0 {
 				return wait, true
 			}
 			polledMu.Lock()

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"aide/internal/obs"
+	"aide/internal/sched"
 	"aide/internal/simclock"
 	"aide/internal/websim"
 )
@@ -274,6 +278,19 @@ func TestCLIDaemonKeepsUnseenChange(t *testing.T) {
 	visit := r.web.Clock().Now()
 	r.web.Advance(time.Hour)
 	page.Set("<P>after the visit.</P>") // Last-Modified = visit + 1h
+	// The page changes again once the first tick has checked it: every
+	// tick must go to the wire, and the report must carry the second
+	// change, not the first one cached.
+	var heads atomic.Int32
+	h := r.web.Handler()
+	r.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		h.ServeHTTP(w, req)
+		if req.Method == http.MethodHead && strings.HasSuffix(req.URL.Path, "/p") && heads.Add(1) == 1 {
+			r.web.Advance(time.Hour)
+			page.Set("<P>changed again.</P>") // Last-Modified = visit + 2h
+		}
+	}))
+	t.Cleanup(r.srv.Close)
 	url := r.urlFor("u.example", "/p")
 	r.writeHotlist(t, map[string]string{url: "Page"})
 	r.writeHistory(t, map[string]time.Time{url: visit})
@@ -281,6 +298,8 @@ func TestCLIDaemonKeepsUnseenChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	outPath := filepath.Join(r.dir, "report.html")
+	skipped := obs.Default.CounterVec("sched.polls", "outcome").With(sched.Skipped.String())
+	skippedBefore := skipped.Value()
 
 	var out, errb bytes.Buffer
 	code := run(context.Background(), []string{
@@ -294,11 +313,20 @@ func TestCLIDaemonKeepsUnseenChange(t *testing.T) {
 	if got := strings.Count(errb.String(), "w3newer: tick "); got != 3 {
 		t.Errorf("tick lines = %d, want 3:\n%s", got, errb.String())
 	}
+	if got := heads.Load(); got != 3 {
+		t.Errorf("HEAD requests = %d, want one per tick (3)", got)
+	}
+	if got := skipped.Value() - skippedBefore; got != 0 {
+		t.Errorf("sched.polls{outcome=skipped} rose by %d, want 0", got)
+	}
 	data, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(data), "<B>Changed</B>") {
 		t.Errorf("final report lost the unseen change:\n%s", data)
+	}
+	if second := page.Current().Time.UTC().Format(time.ANSIC); !strings.Contains(string(data), second) {
+		t.Errorf("final report lacks the second change's Last-Modified %s:\n%s", second, data)
 	}
 }

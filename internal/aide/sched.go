@@ -22,7 +22,7 @@ import (
 // scheduled, and URLs added later (Register, AddFixed, recursive
 // discovery) join the schedule as they appear. The caller owns the
 // returned scheduler's lifecycle — typically a sched.Repeat loop of
-// Tick and Wait.
+// its Step.
 // Calling StartScheduler again replaces the attachment.
 func (s *Server) StartScheduler(cfg sched.Config) *sched.Scheduler {
 	sc, _ := s.StartSchedulerFromState(cfg, "")

@@ -620,14 +620,19 @@ func (a *Archive) loadShared() (f *archiveFile, cached bool, err error) {
 	return f, false, nil
 }
 
-// store atomically rewrites the archive file (mode 0644, like every
-// other repository file) and refreshes the cache. fsatomic makes the
-// archive and its directory entry durable before the check-in returns.
+// ArchiveMode is the file mode of every archive: owner-only, because
+// archives hold page bodies fetched on a user's behalf, saved form
+// results among them.
+const ArchiveMode os.FileMode = 0o600
+
+// store atomically rewrites the archive file (mode ArchiveMode) and
+// refreshes the cache. fsatomic makes the archive and its directory
+// entry durable before the check-in returns.
 func (a *Archive) store(f *archiveFile) error {
 	if err := os.MkdirAll(filepath.Dir(a.path), 0o755); err != nil {
 		return err
 	}
-	err := fsatomic.WriteFunc(a.path, 0o644, func(w io.Writer) error {
+	err := fsatomic.WriteFunc(a.path, ArchiveMode, func(w io.Writer) error {
 		bw := bufio.NewWriterSize(w, 1<<16)
 		writeArchive(bw, f)
 		return bw.Flush()

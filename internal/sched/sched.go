@@ -28,8 +28,9 @@
 // Two shared pieces sit around it. Outcome is the one per-check
 // vocabulary, from w3newer's report to the estimator. Repeat is the one
 // run loop: w3newer's -every passes and -daemon ticks and snapshotd's
-// -sweep and -sched loops are each a step function handed to it, with
-// Wait giving a scheduler's sleep until its next due time.
+// -sweep and -sched loops are each a step function handed to it, and
+// Scheduler.Step is a scheduler's round: one tick plus the sleep until
+// its next due time.
 //
 // Time comes from an injected simclock.Clock, and all randomness is
 // derived from FNV-1a hashes of (seed, URL), so a simulated run is
@@ -406,11 +407,6 @@ type TickStats struct {
 	Requeued int
 }
 
-// Productive reports whether the tick polled or deferred anything.
-func (st TickStats) Productive() bool {
-	return st.Polled > 0 || st.DeferredBreaker > 0 || st.DeferredPoliteness > 0
-}
-
 // Tick pops every URL at or past due, enforces breaker and politeness
 // deferral per host, polls the survivors through Drain (hosts in
 // parallel up to Workers, URLs within a host serial), reschedules each,
@@ -542,18 +538,21 @@ func (s *Scheduler) reschedule(it *item, out Outcome, pollTime time.Time) {
 	s.metrics().Histogram("sched.interval_seconds", IntervalBuckets).Observe(it.interval.Seconds())
 }
 
-// Wait returns how long to sleep before the next URL comes due: the
-// idle wait when the schedule is empty, and a brief yield when
-// deferred items are already due, so a wall-clock loop cannot spin.
-func (s *Scheduler) Wait() time.Duration {
+// Step is one round of a Repeat loop over the scheduler: it runs a Tick
+// and returns its stats (Due == 0: nothing was due, the round did no
+// work) and how long to sleep before the next URL comes due — the idle
+// wait when the schedule is empty, and a brief yield when deferred
+// items are already due, so a wall-clock loop cannot spin.
+func (s *Scheduler) Step(ctx context.Context) (TickStats, time.Duration) {
+	st := s.Tick(ctx)
 	next, ok := s.NextDue()
 	if !ok {
-		return s.cfg.idleWait()
+		return st, s.cfg.idleWait()
 	}
 	if wait := next.Sub(s.clock().Now()); wait > 0 {
-		return wait
+		return st, wait
 	}
-	return 10 * time.Millisecond
+	return st, 10 * time.Millisecond
 }
 
 // Repeat is the one polling loop: it calls step, sleeps on clock for

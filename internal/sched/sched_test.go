@@ -353,8 +353,8 @@ func TestRunDrainsOnCancel(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- Repeat(ctx, s.Clock, func() (time.Duration, bool) {
-			s.Tick(ctx)
-			return s.Wait(), true
+			_, wait := s.Step(ctx)
+			return wait, true
 		})
 	}()
 

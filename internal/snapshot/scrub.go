@@ -42,6 +42,7 @@ import (
 
 	"aide/internal/fsatomic"
 	"aide/internal/obs"
+	"aide/internal/rcs"
 	"aide/internal/simclock"
 )
 
@@ -312,9 +313,14 @@ func (f *Facility) readStored(path string) ([]byte, error) {
 }
 
 // writeStored writes a repository file through the fault injector
-// (atomic replace).
+// (atomic replace). A repaired or imported archive gets the mode a
+// check-in gives it.
 func (f *Facility) writeStored(path string, data []byte) error {
-	return f.Faults.WriteFile(path, data, 0o644)
+	perm := os.FileMode(0o644)
+	if strings.HasSuffix(path, archiveSuffix) {
+		perm = rcs.ArchiveMode
+	}
+	return f.Faults.WriteFile(path, data, perm)
 }
 
 // ScrubShard re-reads every file in one shard, verifies it against the

@@ -95,3 +95,46 @@ func TestObservedAgainstPreviousCheck(t *testing.T) {
 		})
 	}
 }
+
+// TestPollEntryChecksFresh: a scheduler's poll goes to the wire where
+// CheckEntry would answer from a cache — the known-modified shortcut,
+// a recent visit, a recent check — so every poll observes the page and
+// a second unseen change replaces the first in the verdict.
+func TestPollEntryChecksFresh(t *testing.T) {
+	const url = "http://h/p"
+	r := newRig(t, "Default 1d\n")
+	p := r.web.Site("h").Page("/p")
+	p.Set("v1")
+	r.hist.Visit(url, r.clock.Now())
+	r.web.Advance(time.Hour)
+	p.Set("v2") // an unseen change
+	first := r.tr.PollEntry(context.Background(), entry(url))
+	r.web.Advance(time.Hour)
+	p.Set("v3") // and another, within the threshold
+	if res := r.tr.CheckEntry(context.Background(), entry(url)); res.Via != "state-cache" {
+		t.Fatalf("CheckEntry via %s, want the state-cache shortcut", res.Via)
+	}
+	second := r.tr.PollEntry(context.Background(), entry(url))
+	r.hist.Visit(url, r.clock.Now())
+	third := r.tr.PollEntry(context.Background(), entry(url)) // just visited
+
+	for i, c := range []struct {
+		res                    Result
+		wantStatus, wantObserv sched.Outcome
+	}{
+		{first, Changed, Changed},
+		{second, Changed, Changed},
+		{third, Unchanged, Unchanged},
+	} {
+		if c.res.Via != "HEAD" || c.res.Status != c.wantStatus || c.res.Observed != c.wantObserv {
+			t.Errorf("poll %d: via/status/observed = %s/%s/%s, want HEAD/%s/%s",
+				i+1, c.res.Via, c.res.Status, c.res.Observed, c.wantStatus, c.wantObserv)
+		}
+	}
+	if !second.LastModified.Equal(p.Current().Time) || second.LastModified.Equal(first.LastModified) {
+		t.Errorf("second poll's Last-Modified = %v, want the second change's %v", second.LastModified, p.Current().Time)
+	}
+	if h, g := r.web.TotalRequests(); h+g != 3 {
+		t.Errorf("three polls and one cached check made %d requests, want 3", h+g)
+	}
+}

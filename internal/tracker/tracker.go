@@ -288,7 +288,7 @@ func (t *Tracker) Run(ctx context.Context, entries []hotlist.Entry) []Result {
 	unstarted := sched.Drain(ctx, t.Clock, t.Opt.Concurrency, t.Opt.PhaseJitter, t.Opt.JitterSeed, order,
 		func(i int) string { return breaker.HostKey(entries[i].URL) },
 		func(ctx context.Context, i int) {
-			r := t.checkOne(ctx, entries[i], badHosts)
+			r := t.checkOne(ctx, entries[i], badHosts, false)
 			t.noteFailure(r, badHosts)
 			results[i] = r
 		})
@@ -357,19 +357,31 @@ func (t *Tracker) noteFailure(r Result, badHosts *sync.Map) {
 }
 
 // CheckEntry applies the §3 decision procedure to a single hotlist
-// entry, outside any sweep. It is the continuous scheduler's per-URL
-// poll path: same state cache, thresholds, robots handling, and proxy
-// oracle as a sweep, but no host-error memory is carried across calls —
-// host-level isolation is the caller's job (the scheduler consults the
-// circuit breakers instead).
+// entry, outside any sweep: same state cache, thresholds, robots
+// handling, and proxy oracle as a sweep, but no host-error memory is
+// carried across calls — host-level isolation is the caller's job (a
+// scheduler consults the circuit breakers instead).
 func (t *Tracker) CheckEntry(ctx context.Context, e hotlist.Entry) Result {
-	return t.checkOne(ctx, e, new(sync.Map))
+	return t.checkOne(ctx, e, new(sync.Map), false)
+}
+
+// PollEntry is CheckEntry for a scheduler's poll: it always makes a fresh
+// check, never answering from the state cache, the proxy's cached dates
+// or a recent visit. The schedule's floor already spaces a URL's polls
+// by its Table 1 threshold, and a poll answered from a cache would
+// observe nothing (Observed Skipped) — a page with an unseen change
+// would go unpolled, and a second change unreported, for as long as the
+// cache stays fresh. Never rules, cached robot exclusions and an
+// authoritative oracle still apply.
+func (t *Tracker) PollEntry(ctx context.Context, e hotlist.Entry) Result {
+	return t.checkOne(ctx, e, new(sync.Map), true)
 }
 
 // checkOne applies the §3 decision procedure to one URL under ctx,
 // traced as a "tracker.check" span nesting whatever robots.txt and
-// fetch work the decision needs.
-func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *sync.Map) (r Result) {
+// fetch work the decision needs. fresh skips the cache shortcuts (see
+// PollEntry).
+func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *sync.Map, fresh bool) (r Result) {
 	ctx, span := obs.StartSpan(ctx, "tracker.check")
 	span.SetAttr("url", e.URL)
 	defer func() {
@@ -413,6 +425,8 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *sync.
 	}
 
 	isFile := strings.HasPrefix(e.URL, "file:")
+	// file: URLs are a cheap stat, so only web pages answer from caches.
+	cached := !isFile && !fresh
 
 	// An authoritative oracle (a push-notification relay) answers the
 	// whole check: whatever modification date it holds is current.
@@ -426,7 +440,7 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *sync.
 	// Known-modified shortcut: if a cached date (our state or the proxy
 	// daemon) says the page changed after the user's last visit, and
 	// that knowledge is fresh, report without HTTP.
-	if !isFile {
+	if cached {
 		if mod, via, ok := t.cachedModDate(st, now); ok {
 			if visited && mod.After(lastVisited) {
 				r.Status = Changed
@@ -439,7 +453,7 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *sync.
 
 	// Visited within the threshold: not checked (§3: "If the page was
 	// visited within the threshold ... the page is not checked").
-	if !isFile && visited && th.Every > 0 && now.Sub(lastVisited) < th.Every {
+	if cached && visited && th.Every > 0 && now.Sub(lastVisited) < th.Every {
 		r.Status = NotChecked
 		r.Via = "visited-recently"
 		return r
@@ -447,7 +461,7 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *sync.
 
 	// Proxy information current with respect to the threshold counts as
 	// a check.
-	if !isFile && t.Proxy != nil {
+	if cached && t.Proxy != nil {
 		if mod, cachedAt, ok := t.Proxy.ModInfo(e.URL); ok && th.Every > 0 && now.Sub(cachedAt) < th.Every {
 			r.Observed = t.recordSuccess(e.URL, mod, "", now)
 			return t.verdict(r, mod, lastVisited, visited, "proxy")
@@ -457,7 +471,7 @@ func (t *Tracker) checkOne(ctx context.Context, e hotlist.Entry, badHosts *sync.
 	// Checked within the threshold: reuse the cached verdict rather than
 	// issuing another HEAD (thresholds bound "the maximum frequency of
 	// direct HEAD requests").
-	if !isFile && !st.CheckedAt.IsZero() && th.Every > 0 && now.Sub(st.CheckedAt) < th.Every {
+	if cached && !st.CheckedAt.IsZero() && th.Every > 0 && now.Sub(st.CheckedAt) < th.Every {
 		if !st.LastModified.IsZero() {
 			return t.verdict(r, st.LastModified, lastVisited, visited, "state-cache")
 		}
