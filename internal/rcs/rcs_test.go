@@ -634,19 +634,3 @@ func TestDatesMissingArchive(t *testing.T) {
 		t.Fatalf("Dates on missing archive: %v, want ErrNoArchive", err)
 	}
 }
-
-func TestArchiveFileIsOwnerOnly(t *testing.T) {
-	a, _ := newTestArchive(t)
-	for _, text := range []string{"v1\n", "v2\n"} {
-		if _, _, err := a.Checkin(text, "u", ""); err != nil {
-			t.Fatal(err)
-		}
-		fi, err := os.Stat(a.Path())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fi.Mode().Perm(); got != ArchiveMode {
-			t.Errorf("archive mode after check-in = %v, want %v", got, ArchiveMode)
-		}
-	}
-}
